@@ -5,17 +5,15 @@
 //! Unlike the `table*`/`fig*` binaries these numbers are wall-clock, not
 //! discrete-event simulation: they measure the server's batched write
 //! path (group commit + vectored submission) end to end, plus GET-heavy
-//! (90% GET / 10% SET) cells that exercise the lock-free read path both
-//! with it enabled and with every command forced through the single
-//! writer (`get90-writerpath`), and a replication read-scaling cell
-//! (`get90-replica`) where a WAL-shipping replica serves the GET side
-//! while the primary takes the SETs. An `overload` cell floods a
+//! (90% GET / 10% SET) cells that exercise the lock-free read path, and
+//! a replication read-scaling cell (`get90-replica`) where a
+//! WAL-shipping replica serves the GET side while the primary takes the
+//! SETs. An `overload` cell floods a
 //! deliberately slowed device behind a small admission queue — `-BUSY`
 //! refusals are expected there, and its p999 column is the latency of
 //! probe GETs issued during the flood, the read-path-stays-bounded
-//! acceptance number. Three headline acceptance ratios
-//! print at the end: pipelined Always-Log throughput over unbatched,
-//! read-path GET-heavy throughput over the single-writer routing, and
+//! acceptance number. Headline acceptance ratios print at the end:
+//! pipelined Always-Log throughput over unbatched, shard scaling, and
 //! replica-fanout GET-heavy throughput over the single node.
 
 use std::time::{Duration, Instant};
@@ -35,9 +33,6 @@ struct Cell {
     pipeline: usize,
     /// Percent of bench requests issued as GETs.
     get_ratio: u8,
-    /// Serve reads on connection threads (false = pre-read-path
-    /// single-writer routing, the A/B baseline).
-    read_path: bool,
     /// Writer shards (1 = classic single-writer path).
     shards: usize,
 }
@@ -68,27 +63,21 @@ fn main() {
                     kind,
                     pipeline,
                     get_ratio: 0,
-                    read_path: true,
                     shards: 1,
                 });
             }
         }
     }
-    // GET-heavy (90/10) pipelined cells, with the read path on and with
-    // everything forced through the writer — same seed and config, so
-    // the pair is the read-path acceptance comparison.
+    // GET-heavy (90/10) pipelined cells: the lock-free read path.
     for kind in [BackendKind::Kernel, BackendKind::Passthru] {
-        for (suffix, read_path) in [("get90", true), ("get90-writerpath", false)] {
-            cells.push(Cell {
-                label: format!("{}/always/P16/{suffix}", kind.name()),
-                policy: LogPolicy::Always,
-                kind,
-                pipeline: 16,
-                get_ratio: 90,
-                read_path,
-                shards: 1,
-            });
-        }
+        cells.push(Cell {
+            label: format!("{}/always/P16/get90", kind.name()),
+            policy: LogPolicy::Always,
+            kind,
+            pipeline: 16,
+            get_ratio: 90,
+            shards: 1,
+        });
     }
     // Shard sweep: set-heavy pipelined passthru cells at 1/2/4 writer
     // shards — same seed and config, so the trio is the sharded-write-
@@ -103,7 +92,6 @@ fn main() {
             kind: BackendKind::Passthru,
             pipeline: 16,
             get_ratio: 0,
-            read_path: true,
             shards,
         });
     }
@@ -127,7 +115,6 @@ fn main() {
             store,
             ServerOpts {
                 policy: cell.policy,
-                read_path: cell.read_path,
                 ..ServerOpts::default()
             },
         )
@@ -417,21 +404,6 @@ fn main() {
             base
         );
     }
-    // Headline 2: the routing A/B — GET-heavy throughput with reads on
-    // the connection threads vs forced through the single writer. The
-    // gap is the cross-thread hop cost per GET, so it widens with core
-    // count; on a single-core host the closed loop is commit-latency
-    // bound and the ratio is modest.
-    for kind in ["kernel", "passthru"] {
-        let writer = rps(&format!("{kind}/always/P16/get90-writerpath"));
-        let read = rps(&format!("{kind}/always/P16/get90"));
-        println!(
-            "read-path speedup ({kind}, 90% GET): {:.2}x (read-path {:.0} rps vs writer-path {:.0} rps)",
-            read / writer.max(1e-9),
-            read,
-            writer
-        );
-    }
     // Headline: shard scaling — the set-heavy pipelined passthru cell at
     // 2 and 4 writer shards over the single-shard baseline. Scaling
     // tracks available cores: each shard's writer burns its own CPU on
@@ -451,7 +423,7 @@ fn main() {
             );
         }
     }
-    // Headline 3: read scaling — the same 90/10 split with the GET side
+    // Headline: read scaling — the same 90/10 split with the GET side
     // fanned out to a replica vs served by the single node. Both nodes
     // share this host's cores (and the replica is applying the write
     // stream while it serves), so < 1.0x is normal here; the cell's job

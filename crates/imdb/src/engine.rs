@@ -501,32 +501,16 @@ impl<B: PersistBackend> Db<B> {
             .unwrap_or_default()
     }
 
-    /// Serializes a point-in-time copy of the whole keyspace as one
-    /// in-memory RDB stream — the full-sync payload a primary sends an
-    /// attaching replica. Reuses the snapshot machinery ([`SnapshotJob`])
-    /// so the framing is identical to an on-device snapshot, but the
-    /// chunks land in a `Vec` instead of the backend.
-    pub fn serialize_keyspace(&self, chunk_size: usize) -> Vec<u8> {
-        serialize_entries(self.map.iter(), chunk_size)
-    }
-
     /// `Arc` clones of every live key (replica full-reset bookkeeping:
     /// the keys to delete before loading a primary's snapshot).
     pub fn keys(&self) -> Vec<Arc<[u8]>> {
         self.map.keys().cloned().collect()
     }
 
-    /// Order-independent digest of the keyspace: CRC-32 over the sorted
-    /// `(key, value)` entries. Two engines hold identical datasets iff
-    /// their digests match — the convergence check replication tests and
-    /// the CI smoke use via `DEBUG DIGEST`.
-    pub fn digest(&self) -> u32 {
-        digest_of_sorted(&self.sorted_entries())
-    }
-
-    /// `Arc` clones of every entry, sorted by key — the unit a sharded
-    /// server gathers from each shard to compute a merged digest or build
-    /// a full-sync payload spanning the whole keyspace.
+    /// `Arc` clones of every entry, sorted by key — the unit a server
+    /// gathers from each shard to compute the keyspace digest
+    /// ([`digest_of_sorted`]) or build a full-sync payload
+    /// ([`serialize_entries`]) spanning the whole keyspace.
     pub fn sorted_entries(&self) -> Vec<Entry> {
         let mut entries: Vec<_> = self
             .map
@@ -673,9 +657,11 @@ impl<B: PersistBackend> Db<B> {
     }
 }
 
-/// CRC-32 digest over already-sorted `(key, value)` entries — the exact
-/// algorithm of [`Db::digest`], exposed so a sharded server can digest a
-/// merged entry list and match what a single-shard engine would report.
+/// Order-independent digest of a keyspace: CRC-32 over its `(key,
+/// value)` entries in key order. Two datasets are identical iff their
+/// digests match — the convergence check replication tests and the CI
+/// smoke use via `DEBUG DIGEST`, which digests the merged entry lists of
+/// all shards.
 pub fn digest_of_sorted(entries: &[Entry]) -> u32 {
     let mut crc = crate::crc::Crc32::new();
     for (k, v) in entries {
@@ -687,9 +673,11 @@ pub fn digest_of_sorted(entries: &[Entry]) -> u32 {
     crc.finish()
 }
 
-/// Serializes an arbitrary entry iterator as one in-memory RDB stream —
-/// [`Db::serialize_keyspace`] over a caller-assembled keyspace (e.g. the
-/// union of all shards' entries for a full sync).
+/// Serializes a point-in-time copy of a keyspace (e.g. the union of all
+/// shards' entries) as one in-memory RDB stream — the full-sync payload a
+/// primary sends an attaching replica. Reuses the snapshot machinery
+/// ([`SnapshotJob`]) so the framing is identical to an on-device
+/// snapshot, but the chunks land in a `Vec` instead of the backend.
 pub fn serialize_entries<'a, I>(live: I, chunk_size: usize) -> Vec<u8>
 where
     I: Iterator<Item = (&'a Arc<[u8]>, &'a Arc<[u8]>)>,
@@ -1007,7 +995,7 @@ mod tests {
     }
 
     #[test]
-    fn serialize_keyspace_roundtrips_and_digest_converges() {
+    fn serialized_entries_roundtrip_and_digest_converges() {
         let mut db = file_db(LogPolicy::Always);
         for i in 0..100u32 {
             db.set(
@@ -1017,7 +1005,9 @@ mod tests {
             )
             .unwrap();
         }
-        let stream = db.serialize_keyspace(4096);
+        let digest = |db: &Db<FileBackend>| digest_of_sorted(&db.sorted_entries());
+        let sorted = db.sorted_entries();
+        let stream = serialize_entries(sorted.iter().map(|(k, v)| (k, v)), 4096);
         let entries = crate::rdb::read_all(&stream).unwrap();
         assert_eq!(entries.len(), 100);
         // Loading the stream into a second engine converges the digests
@@ -1026,9 +1016,9 @@ mod tests {
         for (k, v) in entries.into_iter().rev() {
             db2.set(&k, &v, SimTime::ZERO).unwrap();
         }
-        assert_eq!(db.digest(), db2.digest());
+        assert_eq!(digest(&db), digest(&db2));
         db2.set(b"key0", b"different", SimTime::ZERO).unwrap();
-        assert_ne!(db.digest(), db2.digest());
+        assert_ne!(digest(&db), digest(&db2));
     }
 
     #[test]

@@ -50,7 +50,7 @@ const NSHARDS: usize = 16;
 const INITIAL_CAP: usize = 64;
 /// Maximum concurrently registered readers; connection threads beyond
 /// this fall back to routing reads through the writer.
-const MAX_READERS: usize = 256;
+pub const MAX_READERS: usize = 256;
 /// Retired garbage accumulated before a publish triggers a collection
 /// scan over the reader registry.
 const COLLECT_EVERY: usize = 64;

@@ -10,7 +10,6 @@
 //!   (`NAND writes / host writes`), the Table 3 WAF column.
 //! * [`Table`] — plain-text / markdown table rendering for the per-table
 //!   benchmark binaries.
-//! * [`summary`] — small statistics helpers (mean, stddev, throughput).
 //! * [`registry`] — lock-free named counters/gauges/histograms with
 //!   Prometheus text exposition, used by the live server's telemetry.
 //!
@@ -21,13 +20,12 @@
 
 pub mod histogram;
 pub mod registry;
-pub mod summary;
 pub mod table;
 pub mod timeline;
 pub mod waf;
 
 pub use histogram::Histogram;
-pub use registry::{AtomicHistogram, Counter, Gauge, Registry};
+pub use registry::{AtomicHistogram, Counter, Gauge, IntGauge, Registry};
 pub use table::Table;
 pub use timeline::Timeline;
 pub use waf::WafTracker;

@@ -2,9 +2,9 @@
 //!
 //! The live server instruments its hot paths through this module: a
 //! [`Registry`] hands out cheap `Arc` handles — [`Counter`], [`Gauge`],
-//! [`AtomicHistogram`] — that record with plain atomic operations and
-//! never take a lock. The registry's own mutex guards only series
-//! *registration* (get-or-create by name + label set) and rendering;
+//! [`IntGauge`], [`AtomicHistogram`] — that record with plain atomic
+//! operations and never take a lock. The registry's own mutex guards only
+//! series *registration* (get-or-create by name + label set) and rendering;
 //! neither happens on a hot path. Rendering emits Prometheus text
 //! format 0.0.4, with histograms exposed as cumulative `_bucket{le=…}`
 //! series over the same log-linear layout as [`crate::Histogram`]
@@ -83,6 +83,55 @@ impl Gauge {
     }
 }
 
+/// An integer gauge that moves both ways: [`IntGauge::inc`] /
+/// [`IntGauge::dec`] for live population counts (connected or parked
+/// clients), [`IntGauge::set`] for mirrored levels (keys, bytes), and
+/// [`IntGauge::set_max`] for high-water marks. Unlike [`Gauge`] every
+/// update is a single atomic read-modify-write, so concurrent owners
+/// never lose an increment. Like every series here it is a statistic
+/// that publishes no other data, hence `Relaxed`. Renders as a
+/// Prometheus `gauge`.
+#[derive(Debug, Default)]
+pub struct IntGauge {
+    v: AtomicU64,
+}
+
+impl IntGauge {
+    /// Creates a gauge at zero.
+    pub fn new() -> Self {
+        IntGauge::default()
+    }
+
+    /// Adds one.
+    #[inline]
+    pub fn inc(&self) {
+        self.v.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Subtracts one (pair with an earlier [`IntGauge::inc`]).
+    #[inline]
+    pub fn dec(&self) {
+        self.v.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Overwrites the value.
+    #[inline]
+    pub fn set(&self, n: u64) {
+        self.v.store(n, Ordering::Relaxed);
+    }
+
+    /// Raises the value to `n` if it is below it.
+    #[inline]
+    pub fn set_max(&self, n: u64) {
+        self.v.fetch_max(n, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.v.load(Ordering::Relaxed)
+    }
+}
+
 /// A lock-free log-linear histogram: the atomic twin of
 /// [`crate::Histogram`], sharing its bucket layout so both report the
 /// same quantization. Writers from any thread record concurrently with
@@ -147,6 +196,7 @@ impl AtomicHistogram {
 enum Series {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>, Option<usize>),
+    IntGauge(Arc<IntGauge>),
     Histogram(Arc<AtomicHistogram>),
 }
 
@@ -154,7 +204,7 @@ impl Series {
     fn kind(&self) -> &'static str {
         match self {
             Series::Counter(_) => "counter",
-            Series::Gauge(..) => "gauge",
+            Series::Gauge(..) | Series::IntGauge(_) => "gauge",
             Series::Histogram(_) => "histogram",
         }
     }
@@ -290,6 +340,28 @@ impl Registry {
         )
     }
 
+    /// Gets or creates an integer gauge.
+    pub fn int_gauge(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        help: &'static str,
+    ) -> Arc<IntGauge> {
+        self.get_or_insert(
+            name,
+            labels,
+            help,
+            |s| match s {
+                Series::IntGauge(g) => Some(Arc::clone(g)),
+                _ => None,
+            },
+            || {
+                let g = Arc::new(IntGauge::new());
+                (Arc::clone(&g), Series::IntGauge(g))
+            },
+        )
+    }
+
     /// Gets or creates a histogram.
     pub fn histogram(
         &self,
@@ -340,11 +412,8 @@ impl Registry {
                 last_name = &e.name;
             }
             match &e.series {
-                Series::Counter(c) => {
-                    out.push_str(&e.name);
-                    render_labels(&e.labels, &[], &mut out);
-                    out.push_str(&format!(" {}\n", c.get()));
-                }
+                Series::Counter(c) => render_int(e, c.get(), &mut out),
+                Series::IntGauge(g) => render_int(e, g.get(), &mut out),
                 Series::Gauge(g, decimals) => {
                     out.push_str(&e.name);
                     render_labels(&e.labels, &[], &mut out);
@@ -358,6 +427,12 @@ impl Registry {
         }
         out
     }
+}
+
+fn render_int(e: &Entry, v: u64, out: &mut String) {
+    out.push_str(&e.name);
+    render_labels(&e.labels, &[], out);
+    out.push_str(&format!(" {v}\n"));
 }
 
 /// `{k="v",…}` (with any extra pairs appended), or nothing when empty.
@@ -444,6 +519,23 @@ mod tests {
         assert!(text.contains("# TYPE slimio_ops_total counter"));
         assert!(text.contains("slimio_ops_total 5"));
         assert!(text.contains("slimio_depth{shard=\"0\"} 3.5"));
+    }
+
+    #[test]
+    fn int_gauge_moves_both_ways_and_renders_as_gauge() {
+        let r = Registry::new();
+        let g = r.int_gauge("slimio_connections", &[], "clients");
+        g.inc();
+        g.inc();
+        g.dec();
+        assert_eq!(g.get(), 1);
+        g.set_max(7);
+        g.set_max(3);
+        assert_eq!(g.get(), 7, "set_max only ever raises");
+        g.set(2);
+        let text = r.render_prometheus();
+        assert!(text.contains("# TYPE slimio_connections gauge"), "{text}");
+        assert!(text.contains("slimio_connections 2\n"), "{text}");
     }
 
     #[test]

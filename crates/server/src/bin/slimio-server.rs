@@ -56,7 +56,6 @@ struct Args {
     wal_snapshot_mb: u64,
     snapshot_chunk_kb: usize,
     fault_plan: Option<FaultPlan>,
-    read_path: bool,
     replica_of: Option<String>,
     repl_backlog_mb: usize,
     govern: GovernorOpts,
@@ -69,7 +68,7 @@ fn usage() -> ! {
         "usage: slimio-server [--addr host] [--port n] [--backend kernel|passthru] [--fdp]\n\
          \x20                    [--ratio f] [--shards n] [--appendfsync always|everysec]\n\
          \x20                    [--wal-snapshot-mb n] [--snapshot-chunk-kb n]\n\
-         \x20                    [--fault-plan pc@N|torn@N:B|fail@N[xK]|slow@N:US] [--no-read-path]\n\
+         \x20                    [--fault-plan pc@N|torn@N:B|fail@N[xK]|slow@N:US]\n\
          \x20                    [--replica-of host:port] [--repl-backlog-mb n]\n\
          \x20                    [--maxmemory bytes] [--writer-queue n] [--repl-feed-limit-mb n]\n\
          \x20                    [--metrics-port n] [--slowlog-log-slower-than us]"
@@ -86,7 +85,6 @@ fn parse_args() -> Args {
         wal_snapshot_mb: 256,
         snapshot_chunk_kb: 256,
         fault_plan: None,
-        read_path: true,
         replica_of: None,
         repl_backlog_mb: 1,
         govern: GovernorOpts::default(),
@@ -143,7 +141,6 @@ fn parse_args() -> Args {
                     usage()
                 }))
             }
-            "--no-read-path" => args.read_path = false,
             "--replica-of" => {
                 let spec = next(&mut i);
                 if !spec.contains(':') {
@@ -202,7 +199,6 @@ fn main() {
         policy: args.opts_policy,
         wal_snapshot_threshold: args.wal_snapshot_mb << 20,
         snapshot_chunk: args.snapshot_chunk_kb << 10,
-        read_path: args.read_path,
         replica_of: args.replica_of.clone(),
         repl_backlog_bytes: args.repl_backlog_mb << 20,
         govern: args.govern,

@@ -1,5 +1,6 @@
 //! Resource governance for the live path: the bounded writer admission
-//! queue and the counters behind `INFO`'s `# Resources` section.
+//! queue and the counters behind `INFO`'s `# Resources` section and the
+//! governor series of `/metrics` (one registry handle each, two renderings).
 //!
 //! The paper's write-isolation argument only holds if persistence
 //! pressure cannot grow unbounded state inside the server: every queue on
@@ -20,9 +21,11 @@
 //! its ack, so it is self-limiting, and starving it under client flood
 //! would stall the replica exactly when it most needs to keep up.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+use slimio_metrics::{Counter, IntGauge, Registry};
 
 /// Recovers a mutex guard even when a panicking thread poisoned the lock.
 /// Every governed structure keeps its invariants across panics (counters
@@ -79,78 +82,102 @@ impl Default for GovernorOpts {
 /// writer queue, with its own refusal accounting so `INFO # Shards` can
 /// attribute `-BUSY` pressure to the shard that caused it.
 pub(crate) struct ShardGate {
-    /// Client commands currently reserved into this shard's queue.
+    /// Client commands currently reserved into this shard's queue. The
+    /// semaphore itself, so it lives under the lock the condvar needs;
+    /// `/metrics` samples it at scrape time.
     depth: Mutex<usize>,
     /// Signaled whenever this shard's writer releases queue slots.
     freed: Condvar,
-    /// Slots this shard may hold (its slice of `queue_cap`).
-    cap: usize,
+    /// Slots this shard may hold (its slice of `queue_cap`); set once.
+    pub(crate) cap: Arc<IntGauge>,
     /// High-water mark of this shard's queue depth.
-    hwm: AtomicU64,
+    pub(crate) hwm: Arc<IntGauge>,
     /// Commands refused with `-BUSY` at this shard's gate.
-    busy: AtomicU64,
-}
-
-/// A point-in-time copy of the governor's overload counters, read by the
-/// telemetry sampler at scrape time.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct GovernorSample {
-    pub blocked_clients: u64,
-    pub busy_refused: u64,
-    pub oom_refused: u64,
-    pub evicted_clients: u64,
-    pub evicted_replicas: u64,
-    pub engine_bytes: u64,
-    pub engine_hwm: u64,
+    pub(crate) busy: Arc<Counter>,
 }
 
 /// Shared resource accounting: per-shard admission gates plus the
-/// overload counters `INFO # Resources` reports.
+/// overload counters `INFO # Resources` and `/metrics` both render. Every
+/// count is a handle into the server's metrics registry — the only copy.
 pub(crate) struct Governor {
     opts: GovernorOpts,
     /// One admission gate per writer shard; a single-shard server has one
     /// gate holding the whole `queue_cap`.
-    gates: Vec<ShardGate>,
+    pub(crate) gates: Vec<ShardGate>,
     /// Connection threads currently parked (admission or WAIT).
-    blocked_clients: AtomicU64,
+    pub(crate) blocked_clients: Arc<IntGauge>,
     /// Commands refused with `-BUSY` (admission deadline lapsed).
-    busy_refused: AtomicU64,
+    pub(crate) busy_refused: Arc<Counter>,
     /// Writes refused with `-OOM` (`maxmemory` reached).
-    oom_refused: AtomicU64,
+    pub(crate) oom_refused: Arc<Counter>,
     /// Clients disconnected for not draining their replies.
-    evicted_clients: AtomicU64,
+    pub(crate) evicted_clients: Arc<Counter>,
     /// Replicas disconnected for lagging past the feed limit.
-    evicted_replicas: AtomicU64,
-    /// Engine governed bytes, mirrored by the writer after each batch so
-    /// `INFO` formatting needs no engine access ordering.
-    engine_bytes: AtomicU64,
+    pub(crate) evicted_replicas: Arc<Counter>,
+    /// Engine governed bytes across all shards, mirrored by each writer
+    /// after each batch.
+    pub(crate) engine_bytes: Arc<IntGauge>,
     /// High-water mark of `engine_bytes`.
-    engine_hwm: AtomicU64,
+    pub(crate) engine_hwm: Arc<IntGauge>,
 }
 
 impl Governor {
-    pub(crate) fn new(opts: GovernorOpts, shards: usize) -> Self {
+    pub(crate) fn new(opts: GovernorOpts, shards: usize, r: &Registry) -> Self {
         let shards = shards.max(1);
         let cap = (opts.queue_cap / shards).max(1);
         let gates = (0..shards)
-            .map(|_| ShardGate {
-                depth: Mutex::new(0),
-                freed: Condvar::new(),
-                cap,
-                hwm: AtomicU64::new(0),
-                busy: AtomicU64::new(0),
+            .map(|i| {
+                let shard = i.to_string();
+                let labels: &[(&str, &str)] = &[("shard", &shard)];
+                let gate = ShardGate {
+                    depth: Mutex::new(0),
+                    freed: Condvar::new(),
+                    cap: r.int_gauge("slimio_shard_queue_cap", labels, "Admission-gate capacity"),
+                    hwm: r.int_gauge(
+                        "slimio_shard_queue_hwm",
+                        labels,
+                        "Admission-gate depth high-water mark",
+                    ),
+                    busy: r.counter(
+                        "slimio_shard_busy_refused_total",
+                        labels,
+                        "-BUSY refusals at this shard's gate",
+                    ),
+                };
+                gate.cap.set(cap as u64);
+                gate
             })
             .collect();
         Governor {
             opts,
             gates,
-            blocked_clients: AtomicU64::new(0),
-            busy_refused: AtomicU64::new(0),
-            oom_refused: AtomicU64::new(0),
-            evicted_clients: AtomicU64::new(0),
-            evicted_replicas: AtomicU64::new(0),
-            engine_bytes: AtomicU64::new(0),
-            engine_hwm: AtomicU64::new(0),
+            blocked_clients: r.int_gauge(
+                "slimio_blocked_clients",
+                &[],
+                "Connection threads parked (admission or WAIT)",
+            ),
+            busy_refused: r.counter(
+                "slimio_busy_refused_total",
+                &[],
+                "Commands refused with -BUSY",
+            ),
+            oom_refused: r.counter("slimio_oom_refused_total", &[], "Writes refused with -OOM"),
+            evicted_clients: r.counter(
+                "slimio_evicted_clients_total",
+                &[],
+                "Slow clients disconnected",
+            ),
+            evicted_replicas: r.counter(
+                "slimio_evicted_replicas_total",
+                &[],
+                "Replicas disconnected for lag",
+            ),
+            engine_bytes: r.int_gauge("slimio_engine_bytes", &[], "Governed engine bytes"),
+            engine_hwm: r.int_gauge(
+                "slimio_engine_peak_bytes",
+                &[],
+                "High-water mark of governed engine bytes",
+            ),
         }
     }
 
@@ -165,16 +192,17 @@ impl Governor {
     /// the command locally without enqueueing it.
     pub(crate) fn admit(&self, shard: usize, stopping: &AtomicBool) -> bool {
         let gate = &self.gates[shard];
+        let cap = gate.cap.get() as usize;
         let mut depth = lock_ok(&gate.depth);
-        if *depth >= gate.cap {
+        if *depth >= cap {
             let deadline = Instant::now() + self.opts.admit_park;
-            self.blocked_clients.fetch_add(1, Ordering::SeqCst);
-            while *depth >= gate.cap {
+            self.blocked_clients.inc();
+            while *depth >= cap {
                 let now = Instant::now();
                 if now >= deadline || stopping.load(Ordering::SeqCst) {
-                    self.blocked_clients.fetch_sub(1, Ordering::SeqCst);
-                    self.busy_refused.fetch_add(1, Ordering::Relaxed);
-                    gate.busy.fetch_add(1, Ordering::Relaxed);
+                    self.blocked_clients.dec();
+                    self.busy_refused.inc();
+                    gate.busy.inc();
                     return false;
                 }
                 let (guard, _) = gate
@@ -183,10 +211,10 @@ impl Governor {
                     .unwrap_or_else(|p| p.into_inner());
                 depth = guard;
             }
-            self.blocked_clients.fetch_sub(1, Ordering::SeqCst);
+            self.blocked_clients.dec();
         }
         *depth += 1;
-        gate.hwm.fetch_max(*depth as u64, Ordering::Relaxed);
+        gate.hwm.set_max(*depth as u64);
         true
     }
 
@@ -222,24 +250,9 @@ impl Governor {
         gate.freed.notify_all();
     }
 
-    /// Current admission queue depth across all gates.
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.gates.iter().map(|g| *lock_ok(&g.depth)).sum()
-    }
-
     /// Current depth of one shard's gate.
     pub(crate) fn shard_depth(&self, shard: usize) -> usize {
         *lock_ok(&self.gates[shard].depth)
-    }
-
-    /// One shard's gate cap / depth high-water mark / `-BUSY` count.
-    pub(crate) fn shard_gate_stats(&self, shard: usize) -> (usize, u64, u64) {
-        let g = &self.gates[shard];
-        (
-            g.cap,
-            g.hwm.load(Ordering::Relaxed),
-            g.busy.load(Ordering::Relaxed),
-        )
     }
 
     /// True when a write of `incoming` more engine bytes must be refused
@@ -249,91 +262,20 @@ impl Governor {
         {
             return false;
         }
-        self.oom_refused.fetch_add(1, Ordering::Relaxed);
+        self.oom_refused.inc();
         true
     }
 
     /// Mirrors the engine's governed byte count (writer, once per batch).
     pub(crate) fn record_engine_bytes(&self, bytes: u64) {
-        self.engine_bytes.store(bytes, Ordering::Relaxed);
-        self.engine_hwm.fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// Marks one connection thread as parked in a blocking command
-    /// (`WAIT`); pair with [`Governor::unblock`].
-    pub(crate) fn block(&self) {
-        self.blocked_clients.fetch_add(1, Ordering::SeqCst);
-    }
-
-    pub(crate) fn unblock(&self) {
-        self.blocked_clients.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Counts a slow client disconnected with reply bytes owed.
-    pub(crate) fn count_client_eviction(&self) {
-        self.evicted_clients.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a replica disconnected for lagging past the feed limit.
-    pub(crate) fn count_replica_eviction(&self) {
-        self.evicted_replicas.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshots the overload counters for telemetry export.
-    pub(crate) fn sample(&self) -> GovernorSample {
-        GovernorSample {
-            blocked_clients: self.blocked_clients.load(Ordering::SeqCst),
-            busy_refused: self.busy_refused.load(Ordering::Relaxed),
-            oom_refused: self.oom_refused.load(Ordering::Relaxed),
-            evicted_clients: self.evicted_clients.load(Ordering::Relaxed),
-            evicted_replicas: self.evicted_replicas.load(Ordering::Relaxed),
-            engine_bytes: self.engine_bytes.load(Ordering::Relaxed),
-            engine_hwm: self.engine_hwm.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Appends the `INFO` `# Resources` section.
-    pub(crate) fn info_lines(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "maxmemory:{}\r\n\
-             engine_bytes:{}\r\n\
-             engine_peak_bytes:{}\r\n\
-             writer_queue_depth:{}\r\n\
-             writer_queue_cap:{}\r\n\
-             writer_queue_hwm:{}\r\n\
-             blocked_clients:{}\r\n\
-             busy_refused:{}\r\n\
-             oom_refused:{}\r\n\
-             evicted_clients:{}\r\n\
-             evicted_replicas:{}\r\n\
-             reply_buf_soft_limit_bytes:{}\r\n\
-             repl_feed_limit_bytes:{}\r\n",
-            self.opts.maxmemory,
-            self.engine_bytes.load(Ordering::Relaxed),
-            self.engine_hwm.load(Ordering::Relaxed),
-            self.queue_depth(),
-            self.gates.iter().map(|g| g.cap).sum::<usize>(),
-            self.gates
-                .iter()
-                .map(|g| g.hwm.load(Ordering::Relaxed))
-                .sum::<u64>(),
-            self.blocked_clients.load(Ordering::SeqCst),
-            self.busy_refused.load(Ordering::Relaxed),
-            self.oom_refused.load(Ordering::Relaxed),
-            self.evicted_clients.load(Ordering::Relaxed),
-            self.evicted_replicas.load(Ordering::Relaxed),
-            self.opts.reply_buf_soft_limit,
-            self.opts.repl_feed_limit,
-        );
+        self.engine_bytes.set(bytes);
+        self.engine_hwm.set_max(bytes);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn gov(cap: usize, park_ms: u64) -> Governor {
         Governor::new(
@@ -343,6 +285,7 @@ mod tests {
                 ..GovernorOpts::default()
             },
             1,
+            &Registry::new(),
         )
     }
 
@@ -355,9 +298,9 @@ mod tests {
         let t0 = Instant::now();
         assert!(!g.admit(0, &stop), "full queue must refuse after the park");
         assert!(t0.elapsed() >= Duration::from_millis(10));
-        assert_eq!(g.queue_depth(), 2);
-        assert_eq!(g.busy_refused.load(Ordering::Relaxed), 1);
-        assert_eq!(g.shard_gate_stats(0).1, 2);
+        assert_eq!(g.shard_depth(0), 2);
+        assert_eq!(g.busy_refused.get(), 1);
+        assert_eq!(g.gates[0].hwm.get(), 2);
         g.release(0, 1);
         assert!(g.admit(0, &stop), "released slot must re-admit");
     }
@@ -403,6 +346,7 @@ mod tests {
                 ..GovernorOpts::default()
             },
             1,
+            &Registry::new(),
         );
         assert!(!g.refuse_oom(u64::MAX - 1, 1), "0 disables the bound");
         let g = Governor::new(
@@ -411,9 +355,10 @@ mod tests {
                 ..GovernorOpts::default()
             },
             1,
+            &Registry::new(),
         );
         assert!(!g.refuse_oom(60, 40), "exactly at the bound is allowed");
         assert!(g.refuse_oom(60, 41));
-        assert_eq!(g.oom_refused.load(Ordering::Relaxed), 1);
+        assert_eq!(g.oom_refused.get(), 1);
     }
 }

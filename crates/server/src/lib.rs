@@ -9,7 +9,14 @@
 //!
 //! - [`resp`] — RESP2 framing: encoder plus an incremental parser.
 //! - [`store`] — backend selection and the restartable device state.
-//! - [`server`] — the accept/connection/writer thread architecture.
+//! - [`server`] — options, start-up, teardown, and the types every
+//!   thread shares.
+//! - `conn` — accept loop and the per-connection state machine: parse,
+//!   route, local reads, reply assembly.
+//! - `writer` — one shard's engine thread: batch, group commit, publish,
+//!   replica apply.
+//! - `control` — shard 0's control plane: INFO, CONFIG, DEBUG, SLOWLOG,
+//!   LATENCY, BGSAVE broadcast, gathers, PSYNC handoff, REPLICAOF.
 //! - `govern` — backpressure: bounded admission, memory and lag limits.
 //! - `repl` — WAL-shipping primary/replica replication.
 //! - `telemetry` — per-stage latency series, Prometheus `/metrics`,
@@ -19,12 +26,15 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+mod conn;
+mod control;
 mod govern;
 mod repl;
 pub mod resp;
 pub mod server;
 pub mod store;
 mod telemetry;
+mod writer;
 
 pub use bench::{oneshot, oneshot_timeout, BenchOpts, BenchReport};
 pub use govern::GovernorOpts;

@@ -49,9 +49,10 @@ use std::time::Duration;
 
 use slimio_imdb::wal::{self, WalDecodeError, WalRecord};
 
+use crate::control::InfoText;
 use crate::govern::{lock_ok, Governor};
 use crate::resp::{self, Parser, Value};
-use crate::server::{shard_of, Request, Shared};
+use crate::server::{recv_polling, shard_of, timed_out, Request, Shared};
 
 /// Error returned for writes sent to a replica.
 pub(crate) const READONLY_MSG: &str = "READONLY You can't write against a read only replica.";
@@ -168,17 +169,6 @@ impl Backlog {
 /// threads (`WAIT`), feed threads, and the replica link thread.
 pub(crate) struct ReplState {
     inner: Mutex<ReplInner>,
-}
-
-/// A point-in-time copy of replication state for the telemetry sampler.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ReplSample {
-    pub is_primary: bool,
-    pub backlog_end: u64,
-    pub backlog_len: u64,
-    pub connected_replicas: u64,
-    pub max_lag: u64,
-    pub applied_offset: u64,
 }
 
 /// The lock-guarded interior of [`ReplState`].
@@ -304,7 +294,7 @@ impl ReplState {
                 // replica's link will reconnect and partial-resync from
                 // the backlog if its missing bytes are still retained.
                 p.alive.store(false, Ordering::SeqCst);
-                gov.count_replica_eviction();
+                gov.evicted_replicas.inc();
                 return false;
             }
             p.feed.send(Arc::clone(&seg)).is_ok()
@@ -358,63 +348,37 @@ impl ReplState {
         inner.link_epoch
     }
 
-    /// Snapshots replication state for telemetry export: role (true when
-    /// primary), backlog end offset, backlog bytes retained, connected
-    /// replica count, worst replica lag in bytes, and (replica role) the
-    /// applied upstream offset.
-    pub(crate) fn sample(&self) -> ReplSample {
-        let mut inner = self.lock();
-        inner.peers.retain(|p| p.alive.load(Ordering::SeqCst));
-        let end = inner.backlog.end();
-        ReplSample {
-            is_primary: matches!(inner.role, Role::Primary),
-            backlog_end: end,
-            backlog_len: inner.backlog.len() as u64,
-            connected_replicas: inner.peers.len() as u64,
-            max_lag: inner
-                .peers
-                .iter()
-                .map(|p| end.saturating_sub(p.acked.load(Ordering::SeqCst).max(p.base)))
-                .max()
-                .unwrap_or(0),
-            applied_offset: inner.applied_offset,
-        }
-    }
-
     /// Appends the `INFO` `# Replication` section.
-    pub(crate) fn info_lines(&self, out: &mut String) {
+    pub(crate) fn info_lines(&self, out: &mut InfoText) {
         let mut inner = self.lock();
         inner.peers.retain(|p| p.alive.load(Ordering::SeqCst));
         let end = inner.backlog.end();
-        out.push_str(&format!(
-            "role:{}\r\n",
+        out.kv(
+            "role",
             match inner.role {
                 Role::Primary => "primary",
                 Role::Replica => "replica",
-            }
-        ));
-        out.push_str(&format!("master_replid:{}\r\n", inner.replid));
-        out.push_str(&format!("master_repl_offset:{end}\r\n"));
-        out.push_str(&format!("repl_backlog_bytes:{}\r\n", inner.backlog.len()));
-        out.push_str(&format!("connected_replicas:{}\r\n", inner.peers.len()));
+            },
+        );
+        out.kv("master_replid", &inner.replid);
+        out.kv("master_repl_offset", end);
+        out.kv("repl_backlog_bytes", inner.backlog.len());
+        out.kv("connected_replicas", inner.peers.len());
         for (i, p) in inner.peers.iter().enumerate() {
             let acked = p.acked.load(Ordering::SeqCst);
-            out.push_str(&format!(
-                "replica{i}:addr={},ack_offset={acked},lag_bytes={}\r\n",
-                p.addr,
-                end.saturating_sub(acked)
-            ));
+            out.kv(
+                format_args!("replica{i}"),
+                format_args!(
+                    "addr={},ack_offset={acked},lag_bytes={}",
+                    p.addr,
+                    end.saturating_sub(acked)
+                ),
+            );
         }
         if inner.role == Role::Replica {
-            out.push_str(&format!(
-                "primary_addr:{}\r\n",
-                inner.primary_addr.as_deref().unwrap_or("-")
-            ));
-            out.push_str(&format!("replica_link:{}\r\n", inner.link_status));
-            out.push_str(&format!(
-                "replica_applied_offset:{}\r\n",
-                inner.applied_offset
-            ));
+            out.kv("primary_addr", inner.primary_addr.as_deref().unwrap_or("-"));
+            out.kv("replica_link", inner.link_status);
+            out.kv("replica_applied_offset", inner.applied_offset);
         }
     }
 }
@@ -440,10 +404,6 @@ fn gen_replid() -> String {
     };
     let s = format!("{:016x}{:016x}{:016x}", next(), next(), next());
     s[..40].to_string()
-}
-
-fn stopping(shared: &Shared) -> bool {
-    shared.stop.load(Ordering::SeqCst) || shared.kill.load(Ordering::SeqCst)
 }
 
 // ---------------------------------------------------------------------
@@ -481,20 +441,15 @@ fn write_seg(stream: &mut TcpStream, seg: &[u8], alive: &AtomicBool, shared: &Sh
         match stream.write(&seg[off..]) {
             Ok(0) => return false,
             Ok(n) => off += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if !alive.load(Ordering::SeqCst) || stopping(shared) {
+            Err(e) if timed_out(&e) => {
+                if !alive.load(Ordering::SeqCst) || shared.stopping() {
                     return false;
                 }
             }
             Err(_) => return false,
         }
     }
-    shared
-        .net_out
-        .fetch_add(seg.len() as u64, Ordering::Relaxed);
+    shared.net_out.add(seg.len() as u64);
     true
 }
 
@@ -525,7 +480,7 @@ fn run_feed(
     let mut parser = Parser::new();
     let mut rbuf = [0u8; 4096];
     loop {
-        if stopping(shared) || !alive.load(Ordering::SeqCst) {
+        if shared.stopping() || !alive.load(Ordering::SeqCst) {
             return;
         }
         // Park briefly for the next live segment; drain the queue in one
@@ -549,7 +504,7 @@ fn run_feed(
         match stream.read(&mut rbuf) {
             Ok(0) => return,
             Ok(n) => {
-                shared.net_in.fetch_add(n as u64, Ordering::Relaxed);
+                shared.net_in.add(n as u64);
                 parser.feed(&rbuf[..n]);
                 loop {
                     match parser.next_command() {
@@ -568,9 +523,7 @@ fn run_feed(
                     }
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(e) if timed_out(&e) => {}
             Err(_) => return,
         }
     }
@@ -588,8 +541,6 @@ pub(crate) struct LinkCtx {
     pub(crate) txs: Vec<mpsc::Sender<Request>>,
     pub(crate) repl: Arc<ReplState>,
     pub(crate) shared: Arc<Shared>,
-    /// This node's serving port, announced via `REPLCONF listening-port`.
-    pub(crate) my_port: u16,
     /// The epoch this link was spawned under; any mismatch means a
     /// newer REPLICAOF superseded it.
     pub(crate) epoch: u64,
@@ -597,7 +548,7 @@ pub(crate) struct LinkCtx {
 
 impl LinkCtx {
     fn current(&self) -> bool {
-        self.repl.link_current(self.epoch) && !stopping(&self.shared)
+        self.repl.link_current(self.epoch) && !self.shared.stopping()
     }
 }
 
@@ -637,9 +588,7 @@ fn send_cmd(stream: &mut TcpStream, args: &[&[u8]], shared: &Shared) -> std::io:
     let mut buf = Vec::new();
     resp::encode_command_slices(args, &mut buf);
     stream.write_all(&buf)?;
-    shared
-        .net_out
-        .fetch_add(buf.len() as u64, Ordering::Relaxed);
+    shared.net_out.add(buf.len() as u64);
     Ok(())
 }
 
@@ -660,13 +609,10 @@ fn read_reply(
         match stream.read(rbuf) {
             Ok(0) => return Err(io_err("primary closed the connection")),
             Ok(n) => {
-                ctx.shared.net_in.fetch_add(n as u64, Ordering::Relaxed);
+                ctx.shared.net_in.add(n as u64);
                 parser.feed(&rbuf[..n]);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if timed_out(&e) => {
                 if !ctx.current() {
                     return Err(io_err("replication link superseded"));
                 }
@@ -678,23 +624,10 @@ fn read_reply(
 
 /// Waits for the writer's ack of one ReplSet/ReplApply request.
 fn wait_writer_ack(rx: &mpsc::Receiver<(Value, u64)>, ctx: &LinkCtx) -> std::io::Result<Value> {
-    loop {
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok((v, _seq)) => {
-                if v.is_error() {
-                    return Err(io_err(format!("writer refused apply: {v:?}")));
-                }
-                return Ok(v);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if !ctx.current() {
-                    return Err(io_err("replication link superseded"));
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(io_err("writer gone"));
-            }
-        }
+    match recv_polling(rx, |_| !ctx.current()) {
+        Some((v, _seq)) if v.is_error() => Err(io_err(format!("writer refused apply: {v:?}"))),
+        Some((v, _seq)) => Ok(v),
+        None => Err(io_err("writer gone or replication link superseded")),
     }
 }
 
@@ -711,7 +644,8 @@ fn link_once(ctx: &LinkCtx) -> std::io::Result<()> {
     let mut parser = Parser::new();
     let mut rbuf = vec![0u8; 64 << 10];
 
-    let port_str = ctx.my_port.to_string();
+    // Announce our own serving port (cosmetic, for the primary's INFO).
+    let port_str = ctx.shared.port.to_string();
     send_cmd(
         &mut stream,
         &[b"REPLCONF", b"listening-port", port_str.as_bytes()],
@@ -874,12 +808,10 @@ fn link_once(ctx: &LinkCtx) -> std::io::Result<()> {
         match stream.read(&mut rbuf) {
             Ok(0) => return Err(io_err("primary closed the stream")),
             Ok(n) => {
-                ctx.shared.net_in.fetch_add(n as u64, Ordering::Relaxed);
+                ctx.shared.net_in.add(n as u64);
                 carry.extend_from_slice(&rbuf[..n]);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(e) if timed_out(&e) => {}
             Err(e) => return Err(e),
         }
     }

@@ -208,6 +208,35 @@ fn parse_int(line: &[u8]) -> Result<i64, RespError> {
     s.parse().map_err(|_| proto(format!("bad integer {s:?}")))
 }
 
+/// A byte range `[start, end)`.
+type Span = (usize, usize);
+
+/// Scans one bulk string at `b[0] == b'$'`: the payload's span within `b`
+/// (`None` for the null bulk, `$-1`) and the bytes consumed, or `None`
+/// while the frame is incomplete.
+fn take_bulk(b: &[u8]) -> Result<Option<(Option<Span>, usize)>, RespError> {
+    let Some((line, used)) = take_line(&b[1..])? else {
+        return Ok(None);
+    };
+    let header = 1 + used;
+    let len = parse_int(line)?;
+    if len == -1 {
+        return Ok(Some((None, header)));
+    }
+    if !(0..=MAX_BULK).contains(&len) {
+        return Err(proto(format!("invalid bulk length {len}")));
+    }
+    let len = len as usize;
+    let need = header + len + 2;
+    if b.len() < need {
+        return Ok(None);
+    }
+    if &b[header + len..need] != b"\r\n" {
+        return Err(proto("bulk string not CRLF-terminated"));
+    }
+    Ok(Some((Some((header, header + len)), need)))
+}
+
 /// Parses one complete value from the head of `b`, returning it and the
 /// bytes consumed, or `None` if the frame is not yet fully buffered.
 /// Nothing is consumed until the whole frame (arrays included) is present.
@@ -227,28 +256,10 @@ fn parse_value(b: &[u8]) -> Result<Option<(Value, usize)>, RespError> {
             };
             Ok(Some((v, 1 + used)))
         }
-        b'$' => {
-            let Some((line, used)) = take_line(&b[1..])? else {
-                return Ok(None);
-            };
-            let header = 1 + used;
-            let len = parse_int(line)?;
-            if len == -1 {
-                return Ok(Some((Value::Null, header)));
-            }
-            if !(0..=MAX_BULK).contains(&len) {
-                return Err(proto(format!("invalid bulk length {len}")));
-            }
-            let len = len as usize;
-            let need = header + len + 2;
-            if b.len() < need {
-                return Ok(None);
-            }
-            if &b[header + len..need] != b"\r\n" {
-                return Err(proto("bulk string not CRLF-terminated"));
-            }
-            Ok(Some((Value::Bulk(b[header..header + len].to_vec()), need)))
-        }
+        b'$' => Ok(take_bulk(b)?.map(|(span, used)| match span {
+            Some((s, e)) => (Value::Bulk(b[s..e].to_vec()), used),
+            None => (Value::Null, used),
+        })),
         b'*' => {
             let Some((line, used)) = take_line(&b[1..])? else {
                 return Ok(None);
@@ -337,27 +348,14 @@ fn parse_command_spans(
         if tag != b'$' {
             return Err(proto("command array must hold bulk strings"));
         }
-        let Some((line, used)) = take_line(&rb[1..])? else {
+        let Some((span, used)) = take_bulk(rb)? else {
             return Ok(None);
         };
-        let header = 1 + used;
-        let len = parse_int(line)?;
-        if len == -1 {
+        let Some((s, e)) = span else {
             return Err(proto("command array must hold bulk strings"));
-        }
-        if !(0..=MAX_BULK).contains(&len) {
-            return Err(proto(format!("invalid bulk length {len}")));
-        }
-        let len = len as usize;
-        let need = header + len + 2;
-        if rb.len() < need {
-            return Ok(None);
-        }
-        if &rb[header + len..need] != b"\r\n" {
-            return Err(proto("bulk string not CRLF-terminated"));
-        }
-        spans.push((base + at + header, base + at + header + len));
-        at += need;
+        };
+        spans.push((base + at + s, base + at + e));
+        at += used;
     }
     Ok(Some(at))
 }

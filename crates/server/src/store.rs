@@ -46,9 +46,9 @@ pub struct StoreConfig {
     pub fdp: bool,
     /// Device scale relative to the paper's 180 GiB FEMU geometry.
     pub ratio: f64,
-    /// Writer shards. 1 keeps the classic whole-device layout; N > 1
-    /// carves the LBA space into N self-similar sub-layouts, each with
-    /// its own placement-stream PIDs (passthru only).
+    /// Writer shards: the LBA space is carved into N self-similar
+    /// sub-layouts, each with its own placement-stream PIDs. N = 1 is the
+    /// classic whole-device layout; N > 1 is passthru only.
     pub shards: usize,
 }
 
@@ -73,11 +73,6 @@ pub enum AnyBackend {
 }
 
 impl AnyBackend {
-    /// Current device write amplification.
-    pub fn waf(&self) -> f64 {
-        self.device().lock().unwrap().waf()
-    }
-
     /// The underlying emulated device.
     pub fn device(&self) -> &Arc<Mutex<NvmeDevice>> {
         match self {
@@ -205,7 +200,7 @@ impl Store {
         self.cfg.shards
     }
 
-    /// The LBA sub-layout of shard `shard` (passthru, shards > 1).
+    /// The LBA sub-layout of shard `shard` (passthru).
     fn shard_layout(&self, shard: usize) -> Layout {
         let capacity = self.device.lock().unwrap().capacity_blocks();
         let per = capacity / self.cfg.shards as u64;
@@ -232,13 +227,26 @@ impl Store {
         &self.device
     }
 
-    /// Opens a backend: formats on first open, recovers from on-device
-    /// state on every later open.
+    /// Opens the store's one backend: formats on first open, recovers
+    /// from on-device state on every later open. For single-shard callers
+    /// that drive an engine directly; the server uses
+    /// [`Store::open_shards`].
     pub fn open(&mut self) -> Result<AnyBackend, BackendError> {
+        assert_eq!(self.cfg.shards, 1, "Store::open hands out one backend");
+        let backend = self.open_shards()?.pop();
+        Ok(backend.expect("one shard, one backend"))
+    }
+
+    /// Opens one backend per configured shard: formats each shard's LBA
+    /// slice on first open, recovers every slice on later opens. One
+    /// shard is the N = 1 case of the same carve-up: its slice is the
+    /// whole device and its PIDs are shard 0's.
+    pub fn open_shards(&mut self) -> Result<Vec<AnyBackend>, BackendError> {
         // An injected power-cut (or torn write) leaves the device powered
         // off; restarting the server on the same store is the power cycle.
         self.device.lock().unwrap().power_on();
-        let backend = match self.cfg.kind {
+        let mut out = Vec::with_capacity(self.cfg.shards);
+        match self.cfg.kind {
             BackendKind::Kernel => {
                 let fs = self.fs.take().unwrap_or_else(|| {
                     SimFs::new(
@@ -252,60 +260,21 @@ impl Store {
                 } else {
                     FileBackend::new(fs)?
                 };
-                AnyBackend::Kernel(Box::new(b))
+                out.push(AnyBackend::Kernel(Box::new(b)));
             }
             BackendKind::Passthru => {
-                let b = if self.opened {
-                    PassthruBackend::recover(
-                        Arc::clone(&self.device),
-                        self.clock.clone(),
-                        PassthruConfig::default(),
-                    )?
-                } else {
-                    PassthruBackend::new(
-                        Arc::clone(&self.device),
-                        self.clock.clone(),
-                        PassthruConfig::default(),
-                    )
-                };
-                AnyBackend::Passthru(Box::new(b))
+                for shard in 0..self.cfg.shards {
+                    let (device, clock) = (Arc::clone(&self.device), self.clock.clone());
+                    let (cfg, layout) = (PassthruConfig::default(), self.shard_layout(shard));
+                    let pids = PidSet::for_shard(shard);
+                    let b = if self.opened {
+                        PassthruBackend::recover_at(device, clock, cfg, layout, pids)?
+                    } else {
+                        PassthruBackend::new_at(device, clock, cfg, layout, pids)
+                    };
+                    out.push(AnyBackend::Passthru(Box::new(b)));
+                }
             }
-        };
-        self.opened = true;
-        Ok(backend)
-    }
-
-    /// Opens one backend per configured shard: formats each shard's LBA
-    /// slice on first open, recovers every slice on later opens. With one
-    /// shard this is exactly [`Store::open`] (whole-device layout, classic
-    /// PIDs), so single-shard on-device state is unchanged.
-    pub fn open_shards(&mut self) -> Result<Vec<AnyBackend>, BackendError> {
-        if self.cfg.shards == 1 {
-            return Ok(vec![self.open()?]);
-        }
-        self.device.lock().unwrap().power_on();
-        let mut out = Vec::with_capacity(self.cfg.shards);
-        for shard in 0..self.cfg.shards {
-            let layout = self.shard_layout(shard);
-            let pids = PidSet::for_shard(shard);
-            let b = if self.opened {
-                PassthruBackend::recover_at(
-                    Arc::clone(&self.device),
-                    self.clock.clone(),
-                    PassthruConfig::default(),
-                    layout,
-                    pids,
-                )?
-            } else {
-                PassthruBackend::new_at(
-                    Arc::clone(&self.device),
-                    self.clock.clone(),
-                    PassthruConfig::default(),
-                    layout,
-                    pids,
-                )
-            };
-            out.push(AnyBackend::Passthru(Box::new(b)));
         }
         self.opened = true;
         Ok(out)
@@ -331,20 +300,6 @@ impl Store {
                 self.fs = Some(fs);
             }
             AnyBackend::Passthru(b) => drop(b),
-        }
-    }
-
-    /// [`Store::close`] for every shard backend.
-    pub fn close_shards(&mut self, backends: Vec<AnyBackend>) {
-        for b in backends {
-            self.close(b);
-        }
-    }
-
-    /// [`Store::crash`] for every shard backend.
-    pub fn crash_shards(&mut self, backends: Vec<AnyBackend>) {
-        for b in backends {
-            self.crash(b);
         }
     }
 }
@@ -403,13 +358,5 @@ mod tests {
             assert_eq!(&*db.get(b"k").unwrap(), b"v", "{kind:?}");
             store.close(db.into_backend());
         }
-    }
-
-    #[test]
-    fn waf_accessor_reports_device_waf() {
-        let mut store = tiny_store(BackendKind::Passthru);
-        let backend = store.open().unwrap();
-        assert!((backend.waf() - 1.0).abs() < f64::EPSILON || backend.waf() == 0.0);
-        store.close(backend);
     }
 }

@@ -3,12 +3,15 @@
 //! listener, and the Redis-compatible `SLOWLOG` / `LATENCY` state.
 //!
 //! Everything here is live-path only. The DES experiment pipeline never
-//! constructs a [`Telemetry`]; the hot-path hooks are `Arc`'d handles
-//! into the lock-free [`Registry`], so recording is a few relaxed
-//! atomic adds and the whole subsystem costs nothing when a series is
-//! never scraped. Sampled series (governor counters, shard slots,
-//! replication offsets, device/FTL state) are copied into the registry
-//! only at scrape time — the sources of truth stay where they are.
+//! constructs a [`Telemetry`]. The [`Registry`] is the server's one stats
+//! store: every count, level and latency the server owns is an `Arc`'d
+//! handle into it, held by whoever updates it ([`crate::server::Shared`],
+//! the governor, each shard's [`ShardMetrics`] slot), recorded with
+//! relaxed atomics, and rendered twice — as `INFO` text and as
+//! `/metrics`. Only state the server does *not* own as a plain number is
+//! sampled into the registry at scrape time: device/FTL telemetry,
+//! replication state and admission-gate depth (each lives under its own
+//! mutex for functional reasons), and uptime.
 //!
 //! Stage taxonomy for one write, matching the writer's batch loop:
 //!
@@ -26,21 +29,21 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use slimio_metrics::{AtomicHistogram, Counter, Registry};
+use slimio_metrics::{AtomicHistogram, Counter, IntGauge, Registry};
 use slimio_nvme::NvmeDevice;
 
 use crate::govern::lock_ok;
-use crate::repl::ReplState;
+use crate::repl::{ReplState, ReplicaPeer, Role};
 use crate::server::Shared;
 
 /// A stage (or spike source) at least this long is recorded as a
 /// `LATENCY` event, mirroring Redis' default `latency-monitor-threshold`.
-pub(crate) const LATENCY_EVENT_THRESHOLD_NS: u64 = 50 * 1_000_000;
+const LATENCY_EVENT_THRESHOLD_NS: u64 = 50 * 1_000_000;
 
 /// Most entries the slowlog ring retains (Redis' `slowlog-max-len`).
 const SLOWLOG_MAX_LEN: usize = 128;
@@ -63,9 +66,12 @@ fn unix_secs() -> u64 {
         .unwrap_or(0)
 }
 
-/// Pre-resolved recorder handles for one shard's write-path stages —
-/// what the writer thread touches per batch, no registry lookups.
-pub(crate) struct ShardStageRecorders {
+/// One shard writer's slot in the registry: the stage recorders its
+/// batch loop touches plus the engine levels it publishes once per batch
+/// (and again right before it renders `INFO`/`DBSIZE`), so shard 0 reads
+/// every shard — itself included — the same way and no writer ever
+/// touches another writer's engine.
+pub(crate) struct ShardMetrics {
     pub(crate) admission: Arc<AtomicHistogram>,
     pub(crate) queue: Arc<AtomicHistogram>,
     pub(crate) execute: Arc<AtomicHistogram>,
@@ -74,6 +80,28 @@ pub(crate) struct ShardStageRecorders {
     pub(crate) reply: Arc<AtomicHistogram>,
     pub(crate) batches: Arc<Counter>,
     pub(crate) batch_commands: Arc<Counter>,
+    /// Live keys in this shard's keyspace.
+    pub(crate) keys: Arc<IntGauge>,
+    /// This shard's resident engine memory.
+    pub(crate) mem_used: Arc<IntGauge>,
+    /// Bytes in this shard's WAL region.
+    pub(crate) wal_len: Arc<IntGauge>,
+    /// Completed WAL-threshold / on-demand snapshots.
+    pub(crate) wal_snapshots: Arc<Counter>,
+    pub(crate) od_snapshots: Arc<Counter>,
+    /// Newest engine sequence published to this shard's read view.
+    pub(crate) published_seq: Arc<Counter>,
+    // The rest is read by `INFO` and the OOM gate only. It is not
+    // registered: the `/metrics` series set is a contract with scrapers.
+    /// This shard's governed (maxmemory-relevant) bytes; summed across
+    /// shards for the global OOM gate.
+    pub(crate) mem_governed: IntGauge,
+    /// Newest global batch sequence this shard stamped onto a frame.
+    pub(crate) last_gseq: IntGauge,
+    /// A snapshot is mid-flight on this shard.
+    pub(crate) snapshot_active: AtomicBool,
+    /// Group-commit batch sizes (requests per batch).
+    pub(crate) batch_sizes: AtomicHistogram,
 }
 
 /// One retained slow command.
@@ -205,7 +233,14 @@ impl LatencyTracker {
         }
     }
 
-    pub(crate) fn record(&self, event: &'static str, ms: u64) {
+    /// Records `ns` as a spike of `event` if it reaches the threshold.
+    pub(crate) fn observe(&self, event: &'static str, ns: u64) {
+        if ns >= LATENCY_EVENT_THRESHOLD_NS {
+            self.record(event, ns / 1_000_000);
+        }
+    }
+
+    fn record(&self, event: &'static str, ms: u64) {
         let mut events = lock_ok(&self.events);
         let hist = match events.iter_mut().find(|(n, _)| *n == event) {
             Some((_, h)) => h,
@@ -274,8 +309,8 @@ impl LatencyTracker {
 pub(crate) struct Telemetry {
     /// All registered series; the `/metrics` listener renders it.
     pub(crate) registry: Registry,
-    /// Per-shard write-path stage recorders.
-    pub(crate) shards: Vec<ShardStageRecorders>,
+    /// Per-shard writer slots.
+    pub(crate) shards: Vec<ShardMetrics>,
     /// End-to-end writer-path command latency (parse → reply drained).
     pub(crate) e2e: Arc<AtomicHistogram>,
     /// Read-path (connection-thread GET/EXISTS) latency.
@@ -288,51 +323,77 @@ pub(crate) struct Telemetry {
 
 impl Telemetry {
     pub(crate) fn new(shards: usize, slowlog_threshold_us: i64) -> Self {
-        let registry = Registry::new();
-        let stage_help = "Write-path stage latency per group-commit batch";
-        let recorders = (0..shards)
+        let r = Registry::new();
+        let slots = (0..shards)
             .map(|i| {
                 let shard = i.to_string();
+                let labels: &[(&str, &str)] = &[("shard", &shard)];
                 let stage = |name: &'static str| {
-                    registry.histogram(
+                    r.histogram(
                         "slimio_write_stage_seconds",
                         &[("stage", name), ("shard", &shard)],
-                        stage_help,
+                        "Write-path stage latency per group-commit batch",
                     )
                 };
-                ShardStageRecorders {
+                ShardMetrics {
                     admission: stage("admission"),
                     queue: stage("queue"),
                     execute: stage("execute"),
                     wal_append: stage("wal_append"),
                     device_sync: stage("device_sync"),
                     reply: stage("reply"),
-                    batches: registry.counter(
+                    batches: r.counter(
                         "slimio_write_batches_total",
-                        &[("shard", &shard)],
+                        labels,
                         "Group-commit batches committed",
                     ),
-                    batch_commands: registry.counter(
+                    batch_commands: r.counter(
                         "slimio_write_batch_commands_total",
-                        &[("shard", &shard)],
+                        labels,
                         "Commands executed through the write path",
                     ),
+                    keys: r.int_gauge("slimio_keys", labels, "Live keys per shard"),
+                    mem_used: r.int_gauge(
+                        "slimio_mem_used_bytes",
+                        labels,
+                        "Engine bytes per shard",
+                    ),
+                    wal_len: r.int_gauge("slimio_wal_len_bytes", labels, "WAL bytes per shard"),
+                    wal_snapshots: r.counter(
+                        "slimio_wal_snapshots_total",
+                        labels,
+                        "WAL-threshold snapshots completed",
+                    ),
+                    od_snapshots: r.counter(
+                        "slimio_od_snapshots_total",
+                        labels,
+                        "On-demand snapshots completed",
+                    ),
+                    published_seq: r.counter(
+                        "slimio_view_published_seq",
+                        labels,
+                        "Newest engine sequence published to the read view",
+                    ),
+                    mem_governed: IntGauge::new(),
+                    last_gseq: IntGauge::new(),
+                    snapshot_active: AtomicBool::new(false),
+                    batch_sizes: AtomicHistogram::new(),
                 }
             })
             .collect();
-        let e2e = registry.histogram(
+        let e2e = r.histogram(
             "slimio_write_e2e_seconds",
             &[],
             "End-to-end writer-path command latency (parse to reply)",
         );
-        let reads = registry.histogram(
+        let reads = r.histogram(
             "slimio_read_seconds",
             &[],
             "Read-path latency served on connection threads",
         );
         Telemetry {
-            registry,
-            shards: recorders,
+            registry: r,
+            shards: slots,
             e2e,
             reads,
             slowlog: SlowLog::new(slowlog_threshold_us),
@@ -341,9 +402,18 @@ impl Telemetry {
         }
     }
 
-    /// Copies every sampled source into the registry, then renders the
-    /// whole thing as Prometheus text. Called per scrape; never on a
-    /// hot path.
+    /// Command latency percentiles `(p50, p99, p999)` in nanoseconds over
+    /// every writer-path and read-path command — `INFO`'s
+    /// `latency_p*_us`, computed from the same two histograms `/metrics`
+    /// exports.
+    pub(crate) fn command_latency(&self) -> (u64, u64, u64) {
+        let mut h = self.e2e.snapshot();
+        h.merge(&self.reads.snapshot());
+        (h.p50(), h.p99(), h.p999())
+    }
+
+    /// Refreshes the sampled series, then renders the whole registry as
+    /// Prometheus text. Called per scrape; never on a hot path.
     pub(crate) fn render(
         &self,
         shared: &Shared,
@@ -354,152 +424,68 @@ impl Telemetry {
         self.registry.render_prometheus()
     }
 
+    /// Copies what the server does not own as a registry handle into the
+    /// registry: uptime (a clock), admission-gate depth (the semaphore
+    /// under its condvar mutex), replication state (under the repl lock)
+    /// and the device's own telemetry (under the device lock).
     fn sample(&self, shared: &Shared, repl: &ReplState, device: &Arc<Mutex<NvmeDevice>>) {
         let r = &self.registry;
-        // Server totals.
-        r.counter("slimio_ops_total", &[], "Commands processed")
-            .set(shared.ops.load(Ordering::Relaxed));
-        r.gauge("slimio_connections", &[], "Connected clients")
-            .set(shared.connections.load(Ordering::SeqCst) as f64);
-        r.counter(
-            "slimio_connections_total",
-            &[],
-            "Connections accepted since start",
-        )
-        .set(shared.total_connections.load(Ordering::SeqCst));
-        r.counter("slimio_net_in_bytes_total", &[], "Bytes read from sockets")
-            .set(shared.net_in.load(Ordering::Relaxed));
-        r.counter(
-            "slimio_net_out_bytes_total",
-            &[],
-            "Bytes written to sockets",
-        )
-        .set(shared.net_out.load(Ordering::Relaxed));
         r.gauge("slimio_uptime_seconds", &[], "Seconds since server start")
             .set(shared.start.elapsed().as_secs_f64());
-        // Governor.
-        let gov = shared.gov.sample();
-        r.gauge(
-            "slimio_blocked_clients",
-            &[],
-            "Connection threads parked (admission or WAIT)",
-        )
-        .set(gov.blocked_clients as f64);
-        r.counter(
-            "slimio_busy_refused_total",
-            &[],
-            "Commands refused with -BUSY",
-        )
-        .set(gov.busy_refused);
-        r.counter("slimio_oom_refused_total", &[], "Writes refused with -OOM")
-            .set(gov.oom_refused);
-        r.counter(
-            "slimio_evicted_clients_total",
-            &[],
-            "Slow clients disconnected",
-        )
-        .set(gov.evicted_clients);
-        r.counter(
-            "slimio_evicted_replicas_total",
-            &[],
-            "Replicas disconnected for lag",
-        )
-        .set(gov.evicted_replicas);
-        r.gauge("slimio_engine_bytes", &[], "Governed engine bytes")
-            .set(gov.engine_bytes as f64);
-        r.gauge(
-            "slimio_engine_peak_bytes",
-            &[],
-            "High-water mark of governed engine bytes",
-        )
-        .set(gov.engine_hwm as f64);
-        // Per-shard gates and writer slots.
-        for (i, st) in shared.shard_stats.iter().enumerate() {
-            let shard = i.to_string();
-            let labels: &[(&str, &str)] = &[("shard", &shard)];
-            let (cap, hwm, busy) = shared.gov.shard_gate_stats(i);
-            r.gauge(
+        for i in 0..self.shards.len() {
+            r.int_gauge(
                 "slimio_shard_queue_depth",
-                labels,
+                &[("shard", &i.to_string())],
                 "Admission-gate depth per shard",
             )
-            .set(shared.gov.shard_depth(i) as f64);
-            r.gauge("slimio_shard_queue_cap", labels, "Admission-gate capacity")
-                .set(cap as f64);
-            r.gauge(
-                "slimio_shard_queue_hwm",
-                labels,
-                "Admission-gate depth high-water mark",
-            )
-            .set(hwm as f64);
-            r.counter(
-                "slimio_shard_busy_refused_total",
-                labels,
-                "-BUSY refusals at this shard's gate",
-            )
-            .set(busy);
-            r.gauge("slimio_keys", labels, "Live keys per shard")
-                .set(st.keys.load(Ordering::Relaxed) as f64);
-            r.gauge("slimio_mem_used_bytes", labels, "Engine bytes per shard")
-                .set(st.mem_used.load(Ordering::Relaxed) as f64);
-            r.gauge("slimio_wal_len_bytes", labels, "WAL bytes per shard")
-                .set(st.wal_len.load(Ordering::Relaxed) as f64);
-            r.counter(
-                "slimio_wal_snapshots_total",
-                labels,
-                "WAL-threshold snapshots completed",
-            )
-            .set(st.wal_snapshots.load(Ordering::Relaxed));
-            r.counter(
-                "slimio_od_snapshots_total",
-                labels,
-                "On-demand snapshots completed",
-            )
-            .set(st.od_snapshots.load(Ordering::Relaxed));
-            r.counter(
-                "slimio_view_published_seq",
-                labels,
-                "Newest engine sequence published to the read view",
-            )
-            .set(st.published_seq.load(Ordering::Relaxed));
+            .set(shared.gov.shard_depth(i) as u64);
         }
-        // Replication.
-        let rs = repl.sample();
-        r.gauge(
-            "slimio_repl_is_primary",
-            &[],
-            "1 when this node is a primary",
-        )
-        .set(if rs.is_primary { 1.0 } else { 0.0 });
-        r.counter(
-            "slimio_repl_backlog_end_bytes",
-            &[],
-            "Replication stream offset (backlog end)",
-        )
-        .set(rs.backlog_end);
-        r.gauge(
-            "slimio_repl_backlog_bytes",
-            &[],
-            "Replication backlog bytes retained",
-        )
-        .set(rs.backlog_len as f64);
-        r.gauge("slimio_repl_connected_replicas", &[], "Attached replicas")
-            .set(rs.connected_replicas as f64);
-        r.gauge(
-            "slimio_repl_max_lag_bytes",
-            &[],
-            "Worst replica feed lag in stream bytes",
-        )
-        .set(rs.max_lag as f64);
-        r.counter(
-            "slimio_repl_applied_offset_bytes",
-            &[],
-            "Upstream stream bytes applied (replica role)",
-        )
-        .set(rs.applied_offset);
+        {
+            let mut rs = repl.lock();
+            rs.peers.retain(|p| p.alive.load(Ordering::SeqCst));
+            let end = rs.backlog.end();
+            let lag =
+                |p: &ReplicaPeer| end.saturating_sub(p.acked.load(Ordering::SeqCst).max(p.base));
+            r.counter(
+                "slimio_repl_backlog_end_bytes",
+                &[],
+                "Replication stream offset (backlog end)",
+            )
+            .set(end);
+            r.counter(
+                "slimio_repl_applied_offset_bytes",
+                &[],
+                "Upstream stream bytes applied (replica role)",
+            )
+            .set(rs.applied_offset);
+            for (name, help, v) in [
+                (
+                    "slimio_repl_is_primary",
+                    "1 when this node is a primary",
+                    (rs.role == Role::Primary) as u64,
+                ),
+                (
+                    "slimio_repl_backlog_bytes",
+                    "Replication backlog bytes retained",
+                    rs.backlog.len() as u64,
+                ),
+                (
+                    "slimio_repl_connected_replicas",
+                    "Attached replicas",
+                    rs.peers.len() as u64,
+                ),
+                (
+                    "slimio_repl_max_lag_bytes",
+                    "Worst replica feed lag in stream bytes",
+                    rs.peers.iter().map(lag).max().unwrap_or(0),
+                ),
+            ] {
+                r.int_gauge(name, &[], help).set(v);
+            }
+        }
         // Device / FTL / NAND, one lock acquisition for a consistent
         // snapshot.
-        let dt = device.lock().unwrap_or_else(|p| p.into_inner()).telemetry();
+        let dt = lock_ok(device).telemetry();
         r.gauge_with_decimals(
             "slimio_device_waf",
             &[],
@@ -507,58 +493,66 @@ impl Telemetry {
             2,
         )
         .set(dt.waf);
-        r.counter(
-            "slimio_device_host_pages_total",
-            &[],
-            "Host pages programmed",
-        )
-        .set(dt.host_pages);
-        r.counter(
-            "slimio_device_gc_copied_pages_total",
-            &[],
-            "Pages relocated by GC",
-        )
-        .set(dt.gc_copied_pages);
-        r.counter("slimio_device_gc_passes_total", &[], "GC passes run")
-            .set(dt.gc_passes);
-        r.counter("slimio_device_erases_total", &[], "Blocks erased")
-            .set(dt.erases);
-        r.counter(
-            "slimio_device_trimmed_pages_total",
-            &[],
-            "Pages invalidated by TRIM",
-        )
-        .set(dt.trimmed_pages);
-        r.counter("slimio_device_reads_total", &[], "FTL read operations")
-            .set(dt.reads);
-        r.counter(
-            "slimio_device_write_commands_total",
-            &[],
-            "Write commands accepted",
-        )
-        .set(dt.write_commands);
-        r.gauge(
-            "slimio_device_die_busy_seconds",
-            &[],
-            "Total simulated die-busy time across all dies",
-        )
-        .set(dt.die_busy_ns as f64 / 1e9);
-        r.gauge(
-            "slimio_device_wall_stall_seconds",
-            &[],
-            "Wall-clock time lost to injected device stalls",
-        )
-        .set(dt.wall_stall_ns as f64 / 1e9);
-        r.gauge("slimio_device_capacity_bytes", &[], "Advertised capacity")
-            .set(dt.capacity_bytes as f64);
-        r.gauge(
-            "slimio_device_free_rus",
-            &[],
-            "Reclaim units on the free list",
-        )
-        .set(dt.free_rus as f64);
-        r.gauge("slimio_device_live_pages", &[], "Mapped logical pages")
-            .set(dt.live_pages as f64);
+        for (name, help, v) in [
+            (
+                "slimio_device_host_pages_total",
+                "Host pages programmed",
+                dt.host_pages,
+            ),
+            (
+                "slimio_device_gc_copied_pages_total",
+                "Pages relocated by GC",
+                dt.gc_copied_pages,
+            ),
+            (
+                "slimio_device_gc_passes_total",
+                "GC passes run",
+                dt.gc_passes,
+            ),
+            ("slimio_device_erases_total", "Blocks erased", dt.erases),
+            (
+                "slimio_device_trimmed_pages_total",
+                "Pages invalidated by TRIM",
+                dt.trimmed_pages,
+            ),
+            ("slimio_device_reads_total", "FTL read operations", dt.reads),
+            (
+                "slimio_device_write_commands_total",
+                "Write commands accepted",
+                dt.write_commands,
+            ),
+        ] {
+            r.counter(name, &[], help).set(v);
+        }
+        for (name, help, v) in [
+            (
+                "slimio_device_die_busy_seconds",
+                "Total simulated die-busy time across all dies",
+                dt.die_busy_ns as f64 / 1e9,
+            ),
+            (
+                "slimio_device_wall_stall_seconds",
+                "Wall-clock time lost to injected device stalls",
+                dt.wall_stall_ns as f64 / 1e9,
+            ),
+            (
+                "slimio_device_capacity_bytes",
+                "Advertised capacity",
+                dt.capacity_bytes as f64,
+            ),
+            (
+                "slimio_device_free_rus",
+                "Reclaim units on the free list",
+                dt.free_rus as f64,
+            ),
+            (
+                "slimio_device_live_pages",
+                "Mapped logical pages",
+                dt.live_pages as f64,
+            ),
+        ] {
+            r.gauge(name, &[], help).set(v);
+        }
         for (pid, rus, valid) in dt.ru_occupancy {
             let pid = pid.to_string();
             let labels: &[(&str, &str)] = &[("pid", &pid)];
@@ -602,7 +596,7 @@ pub(crate) fn spawn_metrics_listener(
 }
 
 fn metrics_loop(listener: TcpListener, ctx: MetricsCtx) {
-    while !ctx.shared.stop.load(Ordering::SeqCst) && !ctx.shared.kill.load(Ordering::SeqCst) {
+    while !ctx.shared.stopping() {
         match listener.accept() {
             Ok((stream, _)) => {
                 // Scrapes are rare and the render is cheap; serve inline.

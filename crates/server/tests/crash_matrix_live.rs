@@ -15,13 +15,15 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
 
 use slimio_des::SimTime;
 use slimio_imdb::LogPolicy;
 use slimio_server::bench;
 use slimio_server::resp::{self, Parser, Value};
-use slimio_server::{BackendKind, Server, ServerOpts, Store, StoreConfig};
+use slimio_server::{BackendKind, Server, ServerOpts};
+
+mod common;
+use common::{batch, send, store_for};
 
 const RATIO: f64 = 1.0 / 128.0;
 
@@ -30,15 +32,6 @@ fn crash_points() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(50)
-}
-
-fn store_for(kind: BackendKind) -> Store {
-    Store::new(StoreConfig {
-        kind,
-        fdp: kind == BackendKind::Passthru,
-        ratio: RATIO,
-        shards: 1,
-    })
 }
 
 fn opts(policy: LogPolicy) -> ServerOpts {
@@ -71,32 +64,6 @@ fn get(k: &str) -> Vec<Vec<u8>> {
     vec![b"GET".to_vec(), k.as_bytes().to_vec()]
 }
 
-/// Pipelines `cmds` over one connection and returns one reply per command.
-fn batch(port: u16, cmds: &[Vec<Vec<u8>>]) -> Vec<Value> {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut out = Vec::new();
-    for c in cmds {
-        resp::encode_command(c, &mut out);
-    }
-    stream.write_all(&out).unwrap();
-    let mut parser = Parser::new();
-    let mut rbuf = vec![0u8; 64 << 10];
-    let mut replies = Vec::with_capacity(cmds.len());
-    while replies.len() < cmds.len() {
-        replies.push(bench::read_value(&mut stream, &mut parser, &mut rbuf).expect("reply"));
-    }
-    replies
-}
-
-fn send(port: u16, parts: &[&[u8]]) -> Value {
-    let args: Vec<Vec<u8>> = parts.iter().map(|p| p.to_vec()).collect();
-    bench::oneshot("127.0.0.1", port, &args).expect("oneshot failed")
-}
-
 /// One backend × policy cell of the matrix: for every k in 1..=points,
 /// ack k commands, kill at that crash point, restart on the same store,
 /// and check the invariant against everything issued so far.
@@ -111,7 +78,7 @@ fn run_matrix_cell(kind: BackendKind, policy: LogPolicy, always: bool) {
     // Last known durable value of the repeatedly overwritten hot key.
     let mut hot_expect: Option<String> = None;
 
-    let mut handle = Server::start(store_for(kind), opts(policy)).expect("start");
+    let mut handle = Server::start(store_for(kind, RATIO), opts(policy)).expect("start");
     for k in 1..=points {
         let port = handle.port();
 
@@ -276,91 +243,31 @@ fn crash_matrix_passthru_periodical() {
 /// the burst under one sync, so every ack must still imply durability:
 /// the whole batch survives the restart with correct values, and earlier
 /// runs' keys never regress.
-fn run_pipelined_cell(kind: BackendKind) {
+///
+/// With `hammers > 0` it is also the read-path cell: that many GET-hammer
+/// connections are actively reading from the lock-free view at every
+/// kill point. Reads never touch the WAL or the device, so the recovery
+/// invariants are exactly the same — no matter how many readers were
+/// mid-probe when the plug was pulled.
+fn run_pipelined_cell(kind: BackendKind, hammers: usize) {
     const PIPELINE: usize = 16;
-    let points = crash_points();
+    // With live reader threads every round restarts them too; cap that
+    // sweep so the cell stays CI-sized.
+    let points = if hammers > 0 {
+        crash_points().min(12)
+    } else {
+        crash_points()
+    };
     let mut durable: Vec<(String, String)> = Vec::new();
-    let mut handle = Server::start(store_for(kind), opts(LogPolicy::Always)).expect("start");
-    for k in 1..=points {
-        let port = handle.port();
-        let burst: Vec<(String, String)> = (0..PIPELINE)
-            .map(|i| (format!("pl:{k}:{i}"), format!("v{k}:{i}")))
-            .collect();
-        let cmds: Vec<Vec<Vec<u8>>> = burst.iter().map(|(key, val)| set(key, val)).collect();
-        // `batch` writes all 16 commands before reading any reply — the
-        // same wire shape as `slimio-cli bench -P 16`.
-        for (i, r) in batch(port, &cmds).iter().enumerate() {
-            assert_eq!(
-                *r,
-                Value::ok(),
-                "{kind:?} run {k}: pipelined command {i} not acked"
-            );
-        }
-
-        let store = handle.kill();
-        handle = Server::start(store, opts(LogPolicy::Always)).expect("restart");
-        let port = handle.port();
-
-        // Every acked write in the burst was group-committed before its
-        // reply was released, so all of them must survive.
-        let mut cmds: Vec<Vec<Vec<u8>>> = burst.iter().map(|(key, _)| get(key)).collect();
-        for (key, _) in &durable {
-            cmds.push(get(key));
-        }
-        let replies = batch(port, &cmds);
-        let (burst_replies, durable_replies) = replies.split_at(burst.len());
-        for ((key, val), r) in burst.iter().zip(burst_replies) {
-            assert_eq!(
-                *r,
-                Value::bulk(val.as_bytes()),
-                "{kind:?} run {k}: acked pipelined write {key} lost or corrupted"
-            );
-        }
-        for ((key, val), r) in durable.iter().zip(durable_replies) {
-            assert_eq!(
-                *r,
-                Value::bulk(val.as_bytes()),
-                "{kind:?} run {k}: durable key {key} regressed"
-            );
-        }
-        durable.extend(burst);
-    }
-    handle.shutdown();
-}
-
-#[test]
-fn crash_matrix_kernel_always_pipelined() {
-    run_pipelined_cell(BackendKind::Kernel);
-}
-
-#[test]
-fn crash_matrix_passthru_always_pipelined() {
-    run_pipelined_cell(BackendKind::Passthru);
-}
-
-/// The read-path cell: same pipelined Always-Log kill sweep, but with
-/// GET-hammer connections actively reading from the lock-free view at
-/// every kill point. Reads never touch the WAL or the device, so
-/// recovery invariants are exactly those of the write-only cell: every
-/// acked burst survives with correct values and durable keys never
-/// regress — no matter how many readers were mid-probe when the plug
-/// was pulled.
-fn run_pipelined_cell_with_readers(kind: BackendKind) {
-    const PIPELINE: usize = 16;
-    const HAMMERS: usize = 2;
-    // The sweep restarts the server `points` times with live reader
-    // threads each round; cap it so the cell stays CI-sized.
-    let points = crash_points().min(12);
-    let mut durable: Vec<(String, String)> = Vec::new();
-    let mut handle = Server::start(store_for(kind), opts(LogPolicy::Always)).expect("start");
+    let mut handle = Server::start(store_for(kind, RATIO), opts(LogPolicy::Always)).expect("start");
     for k in 1..=points {
         let port = handle.port();
 
-        // GET hammers spin on the hot key and last run's keys until the
-        // kill tears their connection down. Replies must only ever be
-        // bulk or null — an error reply would mean the read path broke
-        // under concurrent writes.
-        let hammers: Vec<_> = (0..HAMMERS)
+        // GET hammers spin on last run's keys until the kill tears their
+        // connection down. Replies must only ever be bulk or null — an
+        // error reply would mean the read path broke under concurrent
+        // writes.
+        let readers: Vec<_> = (0..hammers)
             .map(|t| {
                 std::thread::spawn(move || {
                     let Ok(mut stream) = TcpStream::connect(("127.0.0.1", port)) else {
@@ -399,6 +306,8 @@ fn run_pipelined_cell_with_readers(kind: BackendKind) {
             .map(|i| (format!("pl:{k}:{i}"), format!("v{k}:{i}")))
             .collect();
         let cmds: Vec<Vec<Vec<u8>>> = burst.iter().map(|(key, val)| set(key, val)).collect();
+        // `batch` writes all 16 commands before reading any reply — the
+        // same wire shape as `slimio-cli bench -P 16`.
         for (i, r) in batch(port, &cmds).iter().enumerate() {
             assert_eq!(
                 *r,
@@ -407,14 +316,16 @@ fn run_pipelined_cell_with_readers(kind: BackendKind) {
             );
         }
 
-        // Kill with the readers still live, then reap them.
+        // Kill with any readers still live, then reap them.
         let store = handle.kill();
-        for h in hammers {
+        for h in readers {
             h.join().expect("hammer panicked");
         }
         handle = Server::start(store, opts(LogPolicy::Always)).expect("restart");
         let port = handle.port();
 
+        // Every acked write in the burst was group-committed before its
+        // reply was released, so all of them must survive.
         let mut cmds: Vec<Vec<Vec<u8>>> = burst.iter().map(|(key, _)| get(key)).collect();
         for (key, _) in &durable {
             cmds.push(get(key));
@@ -425,14 +336,15 @@ fn run_pipelined_cell_with_readers(kind: BackendKind) {
             assert_eq!(
                 *r,
                 Value::bulk(val.as_bytes()),
-                "{kind:?} run {k}: acked write {key} lost with readers active at kill"
+                "{kind:?} run {k}: acked pipelined write {key} lost or corrupted \
+                 ({hammers} readers active at kill)"
             );
         }
         for ((key, val), r) in durable.iter().zip(durable_replies) {
             assert_eq!(
                 *r,
                 Value::bulk(val.as_bytes()),
-                "{kind:?} run {k}: durable key {key} regressed with readers active at kill"
+                "{kind:?} run {k}: durable key {key} regressed ({hammers} readers active at kill)"
             );
         }
         durable.extend(burst);
@@ -441,13 +353,23 @@ fn run_pipelined_cell_with_readers(kind: BackendKind) {
 }
 
 #[test]
+fn crash_matrix_kernel_always_pipelined() {
+    run_pipelined_cell(BackendKind::Kernel, 0);
+}
+
+#[test]
+fn crash_matrix_passthru_always_pipelined() {
+    run_pipelined_cell(BackendKind::Passthru, 0);
+}
+
+#[test]
 fn crash_matrix_kernel_always_pipelined_with_readers() {
-    run_pipelined_cell_with_readers(BackendKind::Kernel);
+    run_pipelined_cell(BackendKind::Kernel, 2);
 }
 
 #[test]
 fn crash_matrix_passthru_always_pipelined_with_readers() {
-    run_pipelined_cell_with_readers(BackendKind::Passthru);
+    run_pipelined_cell(BackendKind::Passthru, 2);
 }
 
 /// A `pc@N` plan armed through `DEBUG FAULT` behaves like power loss at
@@ -457,7 +379,7 @@ fn crash_matrix_passthru_always_pipelined_with_readers() {
 #[test]
 fn debug_fault_power_cut_loses_nothing_acked() {
     for kind in [BackendKind::Kernel, BackendKind::Passthru] {
-        let handle = Server::start(store_for(kind), opts(LogPolicy::Always)).expect("start");
+        let handle = Server::start(store_for(kind, RATIO), opts(LogPolicy::Always)).expect("start");
         let port = handle.port();
         let mut acked: Vec<String> = Vec::new();
         for i in 0..5 {
@@ -509,7 +431,8 @@ fn debug_fault_torn_page_truncates_cleanly() {
         // records sharing the WAL tail page, so only the victim is at
         // risk; keep=16 tears into them and must roll the prefix back.
         for keep in [2048usize, 16] {
-            let handle = Server::start(store_for(kind), opts(LogPolicy::Always)).expect("start");
+            let handle =
+                Server::start(store_for(kind, RATIO), opts(LogPolicy::Always)).expect("start");
             let port = handle.port();
             let issued: Vec<String> = (0..10).map(|i| format!("torn:{i}")).collect();
             for key in &issued {
@@ -568,7 +491,7 @@ fn debug_fault_torn_page_truncates_cleanly() {
 #[test]
 fn debug_fault_transient_failures_are_absorbed() {
     for kind in [BackendKind::Kernel, BackendKind::Passthru] {
-        let handle = Server::start(store_for(kind), opts(LogPolicy::Always)).expect("start");
+        let handle = Server::start(store_for(kind, RATIO), opts(LogPolicy::Always)).expect("start");
         let port = handle.port();
         assert_eq!(send(port, &[b"SET", b"tr:base", b"v"]), Value::ok());
         // The next 8 device writes fail transiently; retries absorb them.

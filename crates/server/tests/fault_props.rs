@@ -10,19 +10,13 @@
 use slimio_des::SimTime;
 use slimio_imdb::{Db, DbConfig, LogPolicy};
 use slimio_nvme::FaultPlan;
-use slimio_server::{BackendKind, Store, StoreConfig};
+use slimio_server::BackendKind;
+
+mod common;
+use common::store_for;
 
 const OPS: usize = 12;
 const RATIO: f64 = 1.0 / 128.0;
-
-fn store_for(kind: BackendKind) -> Store {
-    Store::new(StoreConfig {
-        kind,
-        fdp: kind == BackendKind::Passthru,
-        ratio: RATIO,
-        shards: 1,
-    })
-}
 
 fn cfg() -> DbConfig {
     DbConfig {
@@ -42,7 +36,7 @@ fn val(i: usize) -> Vec<u8> {
 /// Runs the fixed workload with no faults and reports how many device
 /// write commands it issues after the backend is open.
 fn fault_free_write_count(kind: BackendKind) -> u64 {
-    let mut store = store_for(kind);
+    let mut store = store_for(kind, RATIO);
     let backend = store.open().expect("open");
     let mut db = Db::new(backend, cfg());
     let before = store.device().lock().unwrap().write_commands();
@@ -62,7 +56,7 @@ fn wal_boundary_prefix(kind: BackendKind) {
     );
 
     for n in 1..=writes {
-        let mut store = store_for(kind);
+        let mut store = store_for(kind, RATIO);
         let backend = store.open().expect("open");
         let mut db = Db::new(backend, cfg());
         let plan: FaultPlan = format!("pc@{n}").parse().unwrap();

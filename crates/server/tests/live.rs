@@ -11,18 +11,12 @@ use std::time::{Duration, Instant};
 use slimio_imdb::LogPolicy;
 use slimio_server::bench::{self, BenchOpts};
 use slimio_server::resp::{self, Parser, Value};
-use slimio_server::{BackendKind, Server, ServerHandle, ServerOpts, Store, StoreConfig};
+use slimio_server::{BackendKind, Server, ServerHandle, ServerOpts};
+
+mod common;
+use common::{info_field, send, store_for};
 
 const RATIO: f64 = 1.0 / 64.0;
-
-fn store_for(kind: BackendKind) -> Store {
-    Store::new(StoreConfig {
-        kind,
-        fdp: kind == BackendKind::Passthru,
-        ratio: RATIO,
-        shards: 1,
-    })
-}
 
 /// Every acked write must be durable, so a kill at any command boundary
 /// loses nothing that was acknowledged.
@@ -33,23 +27,6 @@ fn opts_always() -> ServerOpts {
         snapshot_chunk: 64 << 10,
         ..ServerOpts::default()
     }
-}
-
-fn cmd(parts: &[&[u8]]) -> Vec<Vec<u8>> {
-    parts.iter().map(|p| p.to_vec()).collect()
-}
-
-fn send(port: u16, parts: &[&[u8]]) -> Value {
-    bench::oneshot("127.0.0.1", port, &cmd(parts)).expect("oneshot failed")
-}
-
-fn info_field(port: u16, field: &str) -> Option<String> {
-    let Value::Bulk(text) = send(port, &[b"INFO"]) else {
-        panic!("INFO did not return bulk");
-    };
-    let text = String::from_utf8_lossy(&text).into_owned();
-    text.lines()
-        .find_map(|l| l.strip_prefix(&format!("{field}:")).map(|v| v.to_string()))
 }
 
 fn wait_snapshot_done(port: u16) {
@@ -64,7 +41,7 @@ fn wait_snapshot_done(port: u16) {
 }
 
 fn roundtrip_kill_recover(kind: BackendKind) {
-    let handle = Server::start(store_for(kind), opts_always()).expect("start");
+    let handle = Server::start(store_for(kind, RATIO), opts_always()).expect("start");
     let port = handle.port();
 
     assert_eq!(send(port, &[b"PING"]), Value::Simple("PONG".into()));
@@ -135,7 +112,8 @@ fn passthru_fdp_roundtrip_kill_recover() {
 /// via a client-issued SHUTDOWN handled by `join()`.
 #[test]
 fn clean_shutdown_preserves_keyspace() {
-    let handle = Server::start(store_for(BackendKind::Passthru), opts_always()).expect("start");
+    let handle =
+        Server::start(store_for(BackendKind::Passthru, RATIO), opts_always()).expect("start");
     let port = handle.port();
     for i in 0..50u32 {
         let key = format!("clean:{i}");
@@ -158,7 +136,8 @@ fn clean_shutdown_preserves_keyspace() {
 fn shutdown_replies_to_all_pipelined_commands() {
     const BEFORE: usize = 16;
     const AFTER: usize = 16;
-    let handle = Server::start(store_for(BackendKind::Passthru), opts_always()).expect("start");
+    let handle =
+        Server::start(store_for(BackendKind::Passthru, RATIO), opts_always()).expect("start");
     let port = handle.port();
 
     let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
@@ -215,7 +194,8 @@ fn shutdown_replies_to_all_pipelined_commands() {
 /// unacked writes may or may not survive.
 #[test]
 fn mid_load_kill_recovers_all_acked_writes() {
-    let handle = Server::start(store_for(BackendKind::Passthru), opts_always()).expect("start");
+    let handle =
+        Server::start(store_for(BackendKind::Passthru, RATIO), opts_always()).expect("start");
     let port = handle.port();
 
     let acked = Arc::new(Mutex::new(Vec::<u32>::new()));
@@ -284,7 +264,7 @@ fn passthru_fdp_waf_stays_one() {
         snapshot_chunk: 16 << 10,
         ..ServerOpts::default()
     };
-    let handle = Server::start(store_for(BackendKind::Passthru), opts).expect("start");
+    let handle = Server::start(store_for(BackendKind::Passthru, RATIO), opts).expect("start");
     let port = handle.port();
 
     let value = vec![b'w'; 4096];
@@ -322,7 +302,8 @@ fn passthru_fdp_waf_stays_one() {
 #[test]
 fn group_commit_preserves_reply_order_within_connection() {
     const ROUNDS: usize = 200;
-    let handle = Server::start(store_for(BackendKind::Passthru), opts_always()).expect("start");
+    let handle =
+        Server::start(store_for(BackendKind::Passthru, RATIO), opts_always()).expect("start");
     let port = handle.port();
 
     let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
@@ -363,7 +344,8 @@ fn group_commit_preserves_reply_order_within_connection() {
 #[test]
 fn pipelined_always_rps_at_least_unbatched() {
     fn run_with_pipeline(pipeline: usize) -> f64 {
-        let handle = Server::start(store_for(BackendKind::Passthru), opts_always()).expect("start");
+        let handle =
+            Server::start(store_for(BackendKind::Passthru, RATIO), opts_always()).expect("start");
         let opts = BenchOpts {
             port: handle.port(),
             clients: 4,
@@ -406,7 +388,7 @@ fn bench_smoke_reports_throughput() {
     }
 
     for kind in [BackendKind::Kernel, BackendKind::Passthru] {
-        let handle = Server::start(store_for(kind), opts_always()).expect("start");
+        let handle = Server::start(store_for(kind, RATIO), opts_always()).expect("start");
         let report = run_against(&handle);
         assert_eq!(report.ops, 2000, "{kind:?}");
         assert_eq!(report.errors, 0, "{kind:?}");

@@ -10,20 +10,13 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use slimio_imdb::LogPolicy;
-use slimio_server::bench;
 use slimio_server::resp::{self, Parser, Value};
-use slimio_server::{BackendKind, GovernorOpts, Server, ServerOpts, Store, StoreConfig};
+use slimio_server::{BackendKind, GovernorOpts, Server, ServerOpts};
+
+mod common;
+use common::{cmd, info_field, send, store_for};
 
 const RATIO: f64 = 1.0 / 64.0;
-
-fn store() -> Store {
-    Store::new(StoreConfig {
-        kind: BackendKind::Kernel,
-        fdp: false,
-        ratio: RATIO,
-        shards: 1,
-    })
-}
 
 fn opts(govern: GovernorOpts) -> ServerOpts {
     ServerOpts {
@@ -31,29 +24,6 @@ fn opts(govern: GovernorOpts) -> ServerOpts {
         govern,
         ..ServerOpts::default()
     }
-}
-
-fn cmd(parts: &[&[u8]]) -> Vec<Vec<u8>> {
-    parts.iter().map(|p| p.to_vec()).collect()
-}
-
-fn send(port: u16, parts: &[&[u8]]) -> Value {
-    bench::oneshot_timeout(
-        "127.0.0.1",
-        port,
-        &cmd(parts),
-        Some(Duration::from_secs(30)),
-    )
-    .expect("oneshot failed")
-}
-
-fn info_field(port: u16, field: &str) -> Option<String> {
-    let Value::Bulk(text) = send(port, &[b"INFO"]) else {
-        panic!("INFO did not return bulk");
-    };
-    let text = String::from_utf8_lossy(&text).into_owned();
-    text.lines()
-        .find_map(|l| l.strip_prefix(&format!("{field}:")).map(|v| v.to_string()))
 }
 
 fn info_u64(port: u16, field: &str) -> u64 {
@@ -128,7 +98,7 @@ fn err_text(v: &Value) -> Option<&str> {
 #[test]
 fn flood_against_slow_device_bounds_queue_and_refuses_busy() {
     let handle = Server::start(
-        store(),
+        store_for(BackendKind::Kernel, RATIO),
         opts(GovernorOpts {
             queue_cap: 8,
             admit_park: Duration::from_millis(5),
@@ -200,7 +170,7 @@ fn flood_against_slow_device_bounds_queue_and_refuses_busy() {
 #[test]
 fn maxmemory_refuses_writes_while_reads_and_deletes_flow() {
     let handle = Server::start(
-        store(),
+        store_for(BackendKind::Kernel, RATIO),
         opts(GovernorOpts {
             maxmemory: 24 << 10,
             ..GovernorOpts::default()
@@ -251,7 +221,7 @@ fn maxmemory_refuses_writes_while_reads_and_deletes_flow() {
 #[test]
 fn deep_pipeline_survives_small_inflight_cap() {
     let handle = Server::start(
-        store(),
+        store_for(BackendKind::Kernel, RATIO),
         opts(GovernorOpts {
             conn_inflight_cap: 4,
             ..GovernorOpts::default()
@@ -277,7 +247,7 @@ fn deep_pipeline_survives_small_inflight_cap() {
 #[test]
 fn slow_client_is_evicted_at_the_write_stall_timeout() {
     let handle = Server::start(
-        store(),
+        store_for(BackendKind::Kernel, RATIO),
         opts(GovernorOpts {
             reply_buf_soft_limit: 4 << 10,
             client_write_stall: Duration::from_millis(300),
@@ -312,7 +282,11 @@ fn slow_client_is_evicted_at_the_write_stall_timeout() {
 /// server stop), never instantly.
 #[test]
 fn wait_honors_timeouts_and_blocks_on_zero() {
-    let handle = Server::start(store(), opts(GovernorOpts::default())).expect("start");
+    let handle = Server::start(
+        store_for(BackendKind::Kernel, RATIO),
+        opts(GovernorOpts::default()),
+    )
+    .expect("start");
     let port = handle.port();
     assert_eq!(send(port, &[b"SET", b"k", b"v"]), Value::ok());
 
@@ -348,12 +322,16 @@ fn wait_honors_timeouts_and_blocks_on_zero() {
     drop(store_back);
 }
 
-/// A panicking connection thread (DEBUG PANIC fires while it holds its
-/// histogram lock) must not poison the server: INFO still answers with
-/// latency stats, new connections attach, and the client gauge recovers.
+/// A panicking connection thread (DEBUG PANIC unwinds it mid-command)
+/// must not hurt the server: INFO still answers with latency stats, new
+/// connections attach, and the client gauge recovers.
 #[test]
 fn poisoned_connection_locks_do_not_cascade() {
-    let handle = Server::start(store(), opts(GovernorOpts::default())).expect("start");
+    let handle = Server::start(
+        store_for(BackendKind::Kernel, RATIO),
+        opts(GovernorOpts::default()),
+    )
+    .expect("start");
     let port = handle.port();
     assert_eq!(send(port, &[b"SET", b"k", b"v"]), Value::ok());
 
@@ -371,7 +349,7 @@ fn poisoned_connection_locks_do_not_cascade() {
         let _ = victim.read(&mut sink);
         drop(victim);
 
-        // Registry, gauge, and INFO all survived the poisoned locks.
+        // Gauge and INFO both survived the unwound thread.
         // The polling connection counts itself, so "settled" is 1, not
         // 0 — what matters is the dead victim was unregistered.
         wait_info(
@@ -431,7 +409,7 @@ fn read_fullresync(stream: &mut TcpStream, parser: &mut Parser) -> (String, u64)
 #[test]
 fn stalled_replica_is_evicted_then_recovers_via_partial_resync() {
     let handle = Server::start(
-        store(),
+        store_for(BackendKind::Kernel, RATIO),
         opts(GovernorOpts {
             repl_feed_limit: 2048,
             ..GovernorOpts::default()

@@ -18,36 +18,24 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use slimio_imdb::view::MAX_READERS;
 use slimio_imdb::LogPolicy;
 use slimio_server::bench::{self, BenchOpts};
 use slimio_server::resp::{self, Parser, Value};
-use slimio_server::{BackendKind, Server, ServerOpts, Store, StoreConfig};
+use slimio_server::{BackendKind, Server, ServerOpts};
 
-fn store_for(kind: BackendKind) -> Store {
-    Store::new(StoreConfig {
-        kind,
-        fdp: kind == BackendKind::Passthru,
-        ratio: 1.0 / 64.0,
-        shards: 1,
-    })
-}
+mod common;
+use common::{connect, sample, scrape, store_for};
+
+const RATIO: f64 = 1.0 / 64.0;
 
 fn opts_always() -> ServerOpts {
     ServerOpts {
         policy: LogPolicy::Always,
         ..ServerOpts::default()
     }
-}
-
-fn connect(port: u16) -> TcpStream {
-    let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream
 }
 
 /// Encodes `parts` into `out` as one RESP command.
@@ -69,7 +57,8 @@ fn read_your_writes_and_monotonic_reads_under_hammer() {
     const ROUNDS: u64 = 300;
     const HAMMERS: usize = 3;
     const HAMMER_PIPELINE: usize = 8;
-    let handle = Server::start(store_for(BackendKind::Passthru), opts_always()).expect("start");
+    let handle =
+        Server::start(store_for(BackendKind::Passthru, RATIO), opts_always()).expect("start");
     let port = handle.port();
 
     // Seed so hammers always hit.
@@ -157,7 +146,8 @@ fn read_your_writes_and_monotonic_reads_under_hammer() {
 #[test]
 fn mixed_pipeline_replies_in_exact_request_order() {
     const ROUNDS: usize = 100;
-    let handle = Server::start(store_for(BackendKind::Kernel), opts_always()).expect("start");
+    let handle =
+        Server::start(store_for(BackendKind::Kernel, RATIO), opts_always()).expect("start");
     let port = handle.port();
     let mut stream = connect(port);
     let mut parser = Parser::new();
@@ -196,7 +186,7 @@ fn mixed_pipeline_replies_in_exact_request_order() {
 #[test]
 fn get_storm_issues_zero_device_writes() {
     for kind in [BackendKind::Kernel, BackendKind::Passthru] {
-        let store = store_for(kind);
+        let store = store_for(kind, RATIO);
         let device = Arc::clone(store.device());
         let handle = Server::start(store, opts_always()).expect("start");
         let port = handle.port();
@@ -246,39 +236,65 @@ fn get_storm_issues_zero_device_writes() {
     }
 }
 
-/// `read_path: false` keeps the old single-writer routing fully
-/// functional — same answers, same read-your-writes behaviour — so the
-/// A/B baseline in `live_rps` measures routing, not correctness drift.
+/// Connection number `MAX_READERS + 1` gets no reader slot, so its
+/// GET/EXISTS/PING go through the shard writer instead of the view — the
+/// read-path series stays put — with the same answers, read-your-writes
+/// and reply order. Once a slot holder closes, a fresh connection is
+/// served from the view again.
 #[test]
-fn writer_routed_reads_still_correct_without_read_path() {
-    let server_opts = ServerOpts {
-        policy: LogPolicy::Always,
-        read_path: false,
-        ..ServerOpts::default()
+fn reads_stay_correct_when_reader_slots_are_exhausted() {
+    let opts = ServerOpts {
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..opts_always()
     };
-    let handle = Server::start(store_for(BackendKind::Passthru), server_opts).expect("start");
+    let handle = Server::start(store_for(BackendKind::Passthru, RATIO), opts).expect("start");
     let port = handle.port();
-    let mut stream = connect(port);
-    let mut parser = Parser::new();
+    let mport = handle.metrics_addr().expect("metrics bound").port();
+    let local_reads = || sample(&scrape(mport), "slimio_read_seconds_count").expect("series");
     let mut rbuf = vec![0u8; 16 << 10];
-    let mut out = Vec::new();
-    push_cmd(&mut out, &[b"SET", b"nw:key", b"v1"]);
-    push_cmd(&mut out, &[b"GET", b"nw:key"]);
-    push_cmd(&mut out, &[b"PING"]);
-    push_cmd(&mut out, &[b"EXISTS", b"nw:key"]);
-    stream.write_all(&out).unwrap();
-    assert_eq!(read_reply(&mut stream, &mut parser, &mut rbuf), Value::ok());
+    // A connection takes its slot when the server accepts it; a PING
+    // round trip proves that has happened.
+    let mut idle: Vec<TcpStream> = (0..MAX_READERS).map(|_| connect(port)).collect();
+    let mut ping = Vec::new();
+    push_cmd(&mut ping, &[b"PING"]);
+    for c in &mut idle {
+        c.write_all(&ping).unwrap();
+        let pong = read_reply(c, &mut Parser::new(), &mut rbuf);
+        assert_eq!(pong, Value::Simple("PONG".into()));
+    }
+    // SET / GET / PING / EXISTS pipelined on one fresh connection;
+    // returns how many of its reads the view served.
+    let mut round = |key: &[u8]| {
+        let before = local_reads();
+        let mut stream = connect(port);
+        let mut out = Vec::new();
+        push_cmd(&mut out, &[b"SET", key, b"v1"]);
+        push_cmd(&mut out, &[b"GET", key]);
+        push_cmd(&mut out, &[b"PING"]);
+        push_cmd(&mut out, &[b"EXISTS", key]);
+        stream.write_all(&out).unwrap();
+        let mut parser = Parser::new();
+        for want in [
+            Value::ok(),
+            Value::bulk(b"v1"),
+            Value::Simple("PONG".into()),
+            Value::Int(1),
+        ] {
+            assert_eq!(read_reply(&mut stream, &mut parser, &mut rbuf), want);
+        }
+        local_reads() - before
+    };
     assert_eq!(
-        read_reply(&mut stream, &mut parser, &mut rbuf),
-        Value::bulk(b"v1")
+        round(b"nw:257"),
+        0.0,
+        "connection 257 must be writer-routed"
     );
-    assert_eq!(
-        read_reply(&mut stream, &mut parser, &mut rbuf),
-        Value::Simple("PONG".into())
-    );
-    assert_eq!(
-        read_reply(&mut stream, &mut parser, &mut rbuf),
-        Value::Int(1)
-    );
+    // The server frees the slot when the closed connection's thread sees
+    // EOF, which is asynchronous to this client: retry until it has.
+    drop(idle.pop());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while round(b"nw:fresh") != 2.0 {
+        assert!(Instant::now() < deadline, "freed reader slot never reused");
+    }
     handle.shutdown();
 }

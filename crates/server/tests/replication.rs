@@ -4,27 +4,18 @@
 //! the replica's own WAL surviving a replica kill, and a crash-matrix
 //! cell with a replica attached at every kill point.
 
-use std::io::Write;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use slimio_imdb::LogPolicy;
-use slimio_server::bench;
-use slimio_server::resp::{self, Parser, Value};
-use slimio_server::{BackendKind, Server, ServerOpts, Store, StoreConfig};
+use slimio_server::resp::Value;
+use slimio_server::{BackendKind, Server, ServerOpts};
+
+mod common;
+use common::{batch, cmd, digest, info_field, send, store_for, wait_one};
 
 const RATIO: f64 = 1.0 / 128.0;
-
-fn store_for(kind: BackendKind) -> Store {
-    Store::new(StoreConfig {
-        kind,
-        fdp: kind == BackendKind::Passthru,
-        ratio: RATIO,
-        shards: 1,
-    })
-}
 
 fn opts_primary() -> ServerOpts {
     ServerOpts {
@@ -39,60 +30,6 @@ fn opts_replica_of(primary_port: u16) -> ServerOpts {
     ServerOpts {
         replica_of: Some(format!("127.0.0.1:{primary_port}")),
         ..opts_primary()
-    }
-}
-
-fn cmd(parts: &[&[u8]]) -> Vec<Vec<u8>> {
-    parts.iter().map(|p| p.to_vec()).collect()
-}
-
-fn send(port: u16, parts: &[&[u8]]) -> Value {
-    bench::oneshot("127.0.0.1", port, &cmd(parts)).expect("oneshot failed")
-}
-
-/// Pipelines `cmds` over one connection and returns one reply per command.
-fn batch(port: u16, cmds: &[Vec<Vec<u8>>]) -> Vec<Value> {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut out = Vec::new();
-    for c in cmds {
-        resp::encode_command(c, &mut out);
-    }
-    stream.write_all(&out).unwrap();
-    let mut parser = Parser::new();
-    let mut rbuf = vec![0u8; 64 << 10];
-    let mut replies = Vec::with_capacity(cmds.len());
-    while replies.len() < cmds.len() {
-        replies.push(bench::read_value(&mut stream, &mut parser, &mut rbuf).expect("reply"));
-    }
-    replies
-}
-
-fn info_field(port: u16, field: &str) -> Option<String> {
-    let Value::Bulk(text) = send(port, &[b"INFO"]) else {
-        panic!("INFO did not return bulk");
-    };
-    let text = String::from_utf8_lossy(&text).into_owned();
-    text.lines()
-        .find_map(|l| l.strip_prefix(&format!("{field}:")).map(|v| v.to_string()))
-}
-
-fn digest(port: u16) -> String {
-    match send(port, &[b"DEBUG", b"DIGEST"]) {
-        Value::Bulk(b) => String::from_utf8_lossy(&b).into_owned(),
-        other => panic!("DEBUG DIGEST -> {other:?}"),
-    }
-}
-
-/// `WAIT 1` with a generous timeout; the replica must reach the
-/// primary's current stream offset.
-fn wait_one(port: u16) {
-    match send(port, &[b"WAIT", b"1", b"20000"]) {
-        Value::Int(n) if n >= 1 => {}
-        other => panic!("WAIT 1 -> {other:?} (replica never caught up)"),
     }
 }
 
@@ -114,7 +51,8 @@ fn wait_digest(port: u16, want: &str) {
 /// stream carries everything after it — datasets converge exactly.
 #[test]
 fn full_sync_under_write_load_converges() {
-    let primary = Server::start(store_for(BackendKind::Passthru), opts_primary()).expect("start");
+    let primary =
+        Server::start(store_for(BackendKind::Passthru, RATIO), opts_primary()).expect("start");
     let pport = primary.port();
 
     // Preload so the full sync has a real snapshot to ship.
@@ -156,8 +94,11 @@ fn full_sync_under_write_load_converges() {
     };
     // Let the load get going, then attach the replica mid-stream.
     std::thread::sleep(Duration::from_millis(100));
-    let replica =
-        Server::start(store_for(BackendKind::Passthru), opts_replica_of(pport)).expect("replica");
+    let replica = Server::start(
+        store_for(BackendKind::Passthru, RATIO),
+        opts_replica_of(pport),
+    )
+    .expect("replica");
     let rport = replica.port();
     std::thread::sleep(Duration::from_millis(300));
     stop.store(true, Ordering::SeqCst);
@@ -186,10 +127,14 @@ fn full_sync_under_write_load_converges() {
 /// `INFO` reports both roles and replica lag fields.
 #[test]
 fn replica_serves_reads_rejects_writes_and_reports_info() {
-    let primary = Server::start(store_for(BackendKind::Kernel), opts_primary()).expect("start");
+    let primary =
+        Server::start(store_for(BackendKind::Kernel, RATIO), opts_primary()).expect("start");
     let pport = primary.port();
-    let replica =
-        Server::start(store_for(BackendKind::Kernel), opts_replica_of(pport)).expect("replica");
+    let replica = Server::start(
+        store_for(BackendKind::Kernel, RATIO),
+        opts_replica_of(pport),
+    )
+    .expect("replica");
     let rport = replica.port();
 
     assert_eq!(send(pport, &[b"SET", b"greeting", b"hello"]), Value::ok());
@@ -258,10 +203,14 @@ fn replica_serves_reads_rejects_writes_and_reports_info() {
 /// accepts writes.
 #[test]
 fn promotion_serves_acked_prefix_after_primary_kill() {
-    let primary = Server::start(store_for(BackendKind::Passthru), opts_primary()).expect("start");
+    let primary =
+        Server::start(store_for(BackendKind::Passthru, RATIO), opts_primary()).expect("start");
     let pport = primary.port();
-    let replica =
-        Server::start(store_for(BackendKind::Passthru), opts_replica_of(pport)).expect("replica");
+    let replica = Server::start(
+        store_for(BackendKind::Passthru, RATIO),
+        opts_replica_of(pport),
+    )
+    .expect("replica");
     let rport = replica.port();
 
     // Ack each burst at the replica before moving on: after WAIT 1
@@ -314,10 +263,14 @@ fn promotion_serves_acked_prefix_after_primary_kill() {
 /// its store as a standalone node.
 #[test]
 fn replica_kill_recovers_applied_writes_from_its_own_wal() {
-    let primary = Server::start(store_for(BackendKind::Kernel), opts_primary()).expect("start");
+    let primary =
+        Server::start(store_for(BackendKind::Kernel, RATIO), opts_primary()).expect("start");
     let pport = primary.port();
-    let replica =
-        Server::start(store_for(BackendKind::Kernel), opts_replica_of(pport)).expect("replica");
+    let replica = Server::start(
+        store_for(BackendKind::Kernel, RATIO),
+        opts_replica_of(pport),
+    )
+    .expect("replica");
 
     let cmds: Vec<Vec<Vec<u8>>> = (0..50)
         .map(|i| {
@@ -350,9 +303,11 @@ fn replica_kill_recovers_applied_writes_from_its_own_wal() {
 /// NO ONE` hands it back write duty.
 #[test]
 fn runtime_replicaof_replaces_keyspace() {
-    let primary = Server::start(store_for(BackendKind::Kernel), opts_primary()).expect("start");
+    let primary =
+        Server::start(store_for(BackendKind::Kernel, RATIO), opts_primary()).expect("start");
     let pport = primary.port();
-    let other = Server::start(store_for(BackendKind::Kernel), opts_primary()).expect("start");
+    let other =
+        Server::start(store_for(BackendKind::Kernel, RATIO), opts_primary()).expect("start");
     let oport = other.port();
 
     for r in batch(
@@ -405,11 +360,14 @@ fn crash_matrix_with_replica_attached() {
         .min(12);
     let mut durable: Vec<(String, String)> = Vec::new();
     let mut handle =
-        Server::start(store_for(BackendKind::Passthru), opts_primary()).expect("start");
+        Server::start(store_for(BackendKind::Passthru, RATIO), opts_primary()).expect("start");
     for k in 1..=points {
         let pport = handle.port();
-        let replica = Server::start(store_for(BackendKind::Passthru), opts_replica_of(pport))
-            .expect("replica");
+        let replica = Server::start(
+            store_for(BackendKind::Passthru, RATIO),
+            opts_replica_of(pport),
+        )
+        .expect("replica");
         let rport = replica.port();
 
         let fresh: Vec<(String, String)> = (0..k)

@@ -5,25 +5,16 @@
 //! and replica convergence by digest with a sharded primary feeding a
 //! differently-sharded replica.
 
-use std::io::Write;
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use slimio_imdb::LogPolicy;
-use slimio_server::bench;
-use slimio_server::resp::{self, Parser, Value};
-use slimio_server::{BackendKind, Server, ServerOpts, Store, StoreConfig};
+use slimio_server::resp::Value;
+use slimio_server::{Server, ServerOpts};
+
+mod common;
+use common::{batch, cmd, digest, send, store_sharded, wait_one};
 
 const RATIO: f64 = 1.0 / 128.0;
-
-fn store_sharded(shards: usize) -> Store {
-    Store::new(StoreConfig {
-        kind: BackendKind::Passthru,
-        fdp: true,
-        ratio: RATIO,
-        shards,
-    })
-}
 
 fn opts() -> ServerOpts {
     ServerOpts {
@@ -41,56 +32,13 @@ fn opts_replica_of(primary_port: u16) -> ServerOpts {
     }
 }
 
-fn cmd(parts: &[&[u8]]) -> Vec<Vec<u8>> {
-    parts.iter().map(|p| p.to_vec()).collect()
-}
-
-fn send(port: u16, parts: &[&[u8]]) -> Value {
-    bench::oneshot("127.0.0.1", port, &cmd(parts)).expect("oneshot failed")
-}
-
-/// Pipelines `cmds` over one connection and returns one reply per command.
-fn batch(port: u16, cmds: &[Vec<Vec<u8>>]) -> Vec<Value> {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut out = Vec::new();
-    for c in cmds {
-        resp::encode_command(c, &mut out);
-    }
-    stream.write_all(&out).unwrap();
-    let mut parser = Parser::new();
-    let mut rbuf = vec![0u8; 64 << 10];
-    let mut replies = Vec::with_capacity(cmds.len());
-    while replies.len() < cmds.len() {
-        replies.push(bench::read_value(&mut stream, &mut parser, &mut rbuf).expect("reply"));
-    }
-    replies
-}
-
-fn digest(port: u16) -> String {
-    match send(port, &[b"DEBUG", b"DIGEST"]) {
-        Value::Bulk(b) => String::from_utf8_lossy(&b).into_owned(),
-        other => panic!("DEBUG DIGEST -> {other:?}"),
-    }
-}
-
-fn wait_one(port: u16) {
-    match send(port, &[b"WAIT", b"1", b"20000"]) {
-        Value::Int(n) if n >= 1 => {}
-        other => panic!("WAIT 1 -> {other:?} (replica never caught up)"),
-    }
-}
-
 /// Four writer threads, each hammering its own key set with pipelined
 /// bursts of increasing values over one connection: per-key ordering
 /// within a shard means the final value of every key is the last one
 /// its thread wrote, and every ack arrives in request order.
 #[test]
 fn per_key_ordering_under_four_shard_hammer() {
-    let server = Server::start(store_sharded(4), opts()).expect("start");
+    let server = Server::start(store_sharded(4, RATIO), opts()).expect("start");
     let port = server.port();
 
     let workers: Vec<_> = (0..4)
@@ -137,7 +85,7 @@ fn per_key_ordering_under_four_shard_hammer() {
 /// the same connection, regardless of which shard owns the key.
 #[test]
 fn read_your_writes_across_shards() {
-    let server = Server::start(store_sharded(4), opts()).expect("start");
+    let server = Server::start(store_sharded(4, RATIO), opts()).expect("start");
     let port = server.port();
 
     let mut cmds = Vec::new();
@@ -163,7 +111,7 @@ fn read_your_writes_across_shards() {
 /// must equal the single-shard answer.
 #[test]
 fn cross_shard_multikey_del_and_exists() {
-    let server = Server::start(store_sharded(4), opts()).expect("start");
+    let server = Server::start(store_sharded(4, RATIO), opts()).expect("start");
     let port = server.port();
 
     for i in 0..16 {
@@ -192,8 +140,8 @@ fn cross_shard_multikey_del_and_exists() {
 /// server and a 1-shard server loaded with identical data agree.
 #[test]
 fn sharded_digest_matches_single_shard() {
-    let sharded = Server::start(store_sharded(4), opts()).expect("start");
-    let single = Server::start(store_sharded(1), opts()).expect("start");
+    let sharded = Server::start(store_sharded(4, RATIO), opts()).expect("start");
+    let single = Server::start(store_sharded(1, RATIO), opts()).expect("start");
 
     for port in [sharded.port(), single.port()] {
         let cmds: Vec<Vec<Vec<u8>>> = (0..100)
@@ -222,7 +170,7 @@ fn sharded_digest_matches_single_shard() {
 /// and rebuilds the merged keyspace (the gap check runs on the way up).
 #[test]
 fn sharded_restart_recovers_merged_keyspace() {
-    let server = Server::start(store_sharded(4), opts()).expect("start");
+    let server = Server::start(store_sharded(4, RATIO), opts()).expect("start");
     let port = server.port();
     let cmds: Vec<Vec<Vec<u8>>> = (0..200)
         .map(|i| {
@@ -259,7 +207,7 @@ fn crash_matrix_at_four_shards() {
         .unwrap_or(6)
         .min(12);
     let mut durable: Vec<(String, String)> = Vec::new();
-    let mut handle = Server::start(store_sharded(4), opts()).expect("start");
+    let mut handle = Server::start(store_sharded(4, RATIO), opts()).expect("start");
     for k in 1..=points {
         let port = handle.port();
         let fresh: Vec<(String, String)> = (0..k)
@@ -294,7 +242,7 @@ fn crash_matrix_at_four_shards() {
 /// whole acked prefix.
 #[test]
 fn sharded_primary_replicates_to_differently_sharded_replica() {
-    let primary = Server::start(store_sharded(4), opts()).expect("start");
+    let primary = Server::start(store_sharded(4, RATIO), opts()).expect("start");
     let pport = primary.port();
 
     // Preload so the full sync ships a real cross-shard snapshot.
@@ -311,7 +259,7 @@ fn sharded_primary_replicates_to_differently_sharded_replica() {
         assert_eq!(r, Value::ok());
     }
 
-    let replica = Server::start(store_sharded(2), opts_replica_of(pport)).expect("replica");
+    let replica = Server::start(store_sharded(2, RATIO), opts_replica_of(pport)).expect("replica");
     let rport = replica.port();
 
     // Live writes after attach, answered by all four shard writers.
@@ -350,7 +298,7 @@ fn sharded_primary_replicates_to_differently_sharded_replica() {
 /// device-level garbage collection.
 #[test]
 fn sharded_info_and_waf() {
-    let server = Server::start(store_sharded(4), opts()).expect("start");
+    let server = Server::start(store_sharded(4, RATIO), opts()).expect("start");
     let port = server.port();
     let cmds: Vec<Vec<Vec<u8>>> = (0..400)
         .map(|i| {

@@ -2,25 +2,15 @@
 //! mixed load, per-stage histogram coherence against the end-to-end
 //! series, and the SLOWLOG/LATENCY path under an injected device stall.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
-
 use slimio_imdb::LogPolicy;
 use slimio_server::bench::{self, BenchOpts};
 use slimio_server::resp::Value;
-use slimio_server::{BackendKind, Server, ServerOpts, Store, StoreConfig};
+use slimio_server::{Server, ServerOpts};
+
+mod common;
+use common::{http_get, sample, scrape, send, store_sharded};
 
 const RATIO: f64 = 1.0 / 128.0;
-
-fn store_for(shards: usize) -> Store {
-    Store::new(StoreConfig {
-        kind: BackendKind::Passthru,
-        fdp: true,
-        ratio: RATIO,
-        shards,
-    })
-}
 
 fn opts_with_metrics() -> ServerOpts {
     ServerOpts {
@@ -28,42 +18,6 @@ fn opts_with_metrics() -> ServerOpts {
         metrics_addr: Some("127.0.0.1:0".to_string()),
         ..ServerOpts::default()
     }
-}
-
-/// One HTTP/1.0 GET against the metrics listener; returns (status line,
-/// body).
-fn http_get(port: u16, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect metrics");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
-        .write_all(format!("GET {path} HTTP/1.0\r\nHost: localhost\r\n\r\n").as_bytes())
-        .expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .expect("response has a header/body split");
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, body.to_string())
-}
-
-fn scrape(port: u16) -> String {
-    let (status, body) = http_get(port, "/metrics");
-    assert!(status.contains("200"), "scrape failed: {status}");
-    body
-}
-
-/// The value of the sample whose name (with labels, if any) is exactly
-/// `series` — e.g. `slimio_ops_total` or
-/// `slimio_write_stage_seconds_sum{stage="queue",shard="0"}`.
-fn sample(text: &str, series: &str) -> Option<f64> {
-    text.lines().find_map(|l| {
-        l.strip_prefix(series)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .and_then(|v| v.trim().parse().ok())
-    })
 }
 
 fn bench_load(port: u16, requests: u64, pipeline: usize, get_ratio: u8, clients: usize) {
@@ -87,7 +41,7 @@ fn bench_load(port: u16, requests: u64, pipeline: usize, get_ratio: u8, clients:
 /// up with its own label.
 #[test]
 fn metrics_scrape_under_mixed_load() {
-    let handle = Server::start(store_for(4), opts_with_metrics()).expect("start");
+    let handle = Server::start(store_sharded(4, RATIO), opts_with_metrics()).expect("start");
     let mport = handle.metrics_addr().expect("metrics bound").port();
     bench_load(handle.port(), 4000, 8, 50, 4);
 
@@ -165,44 +119,69 @@ fn metrics_scrape_under_mixed_load() {
     handle.shutdown();
 }
 
-/// With one shard, one client, no pipelining, every batch holds exactly
-/// one SET — so each batch's stage windows are sub-intervals of that
-/// command's end-to-end window, and the per-stage sums can exceed the
-/// e2e sum only by timer noise. The lower bound is a loose sanity floor:
-/// under CPU contention (parallel test servers) most of e2e is
-/// cross-thread handoff, which no stage claims.
+/// The per-stage series and the end-to-end series describe the same
+/// commands, so their *counts* are tied together exactly: `queue` records
+/// once per command, the batch-scoped stages once per group-commit batch
+/// (every batch of a pure-SET load commits), and the e2e series once per
+/// command. And with the slowlog threshold at 0 every command is logged
+/// with its batch's stage breakdown, which must fit inside the command's
+/// own duration — both are read off the same clock on the writer thread.
+/// Nothing here compares clocks across threads or depends on how the
+/// scheduler interleaves them.
 #[test]
-fn stage_sums_bracket_e2e() {
-    let handle = Server::start(store_for(1), opts_with_metrics()).expect("start");
+fn stage_counts_and_slowlog_breakdowns_are_coherent() {
+    const SETS: u64 = 2000;
+    let opts = ServerOpts {
+        slowlog_threshold_us: 0,
+        ..opts_with_metrics()
+    };
+    let handle = Server::start(store_sharded(1, RATIO), opts).expect("start");
     let mport = handle.metrics_addr().expect("metrics bound").port();
-    bench_load(handle.port(), 2000, 1, 0, 1);
+    bench_load(handle.port(), SETS, 4, 0, 2);
 
     let text = scrape(mport);
-    let e2e = sample(&text, "slimio_write_e2e_seconds_sum").expect("e2e sum");
-    let stage_sum: f64 = ["queue", "execute", "wal_append", "device_sync", "reply"]
-        .iter()
-        .map(|st| {
-            sample(
-                &text,
-                &format!("slimio_write_stage_seconds_sum{{stage=\"{st}\",shard=\"0\"}}"),
-            )
-            .unwrap_or_else(|| panic!("no sum for stage {st}"))
-        })
-        .sum();
-    assert!(e2e > 0.0, "no e2e time recorded");
-    assert!(
-        stage_sum <= e2e * 1.10,
-        "stages exceed end-to-end: stages={stage_sum:.6}s e2e={e2e:.6}s"
+    let count = |series: &str| sample(&text, series).unwrap_or_else(|| panic!("no {series}"));
+    let stage = |st: &str| {
+        count(&format!(
+            "slimio_write_stage_seconds_count{{stage=\"{st}\",shard=\"0\"}}"
+        ))
+    };
+    let batches = count("slimio_write_batches_total{shard=\"0\"}");
+    assert_eq!(stage("queue"), SETS as f64);
+    assert_eq!(count("slimio_write_e2e_seconds_count"), SETS as f64);
+    assert_eq!(
+        count("slimio_write_batch_commands_total{shard=\"0\"}"),
+        SETS as f64
     );
-    assert!(
-        stage_sum >= e2e * 0.01,
-        "stages account for almost none of end-to-end: stages={stage_sum:.6}s e2e={e2e:.6}s"
-    );
-    handle.shutdown();
-}
+    assert!(batches >= 1.0 && batches <= SETS as f64);
+    for st in ["execute", "wal_append", "device_sync", "reply"] {
+        assert_eq!(stage(st), batches, "stage {st} vs batches");
+    }
 
-fn cmd(parts: &[&str]) -> Vec<Vec<u8>> {
-    parts.iter().map(|p| p.as_bytes().to_vec()).collect()
+    let Value::Array(entries) = send(handle.port(), &[b"SLOWLOG", b"GET", b"-1"]) else {
+        panic!("SLOWLOG GET did not return an array")
+    };
+    assert!(!entries.is_empty(), "threshold 0 must log every command");
+    for e in &entries {
+        let Value::Array(fields) = e else {
+            panic!("malformed slowlog entry")
+        };
+        let (Value::Int(dur_us), Value::Bulk(stages)) = (&fields[2], &fields[5]) else {
+            panic!("slowlog entry without duration/stages: {fields:?}")
+        };
+        let stages = String::from_utf8_lossy(stages);
+        let sum: i64 = stages
+            .split_whitespace()
+            .map(|kv| {
+                let us = kv.split_once('=').and_then(|(_, v)| v.strip_suffix("us"));
+                us.and_then(|v| v.parse::<i64>().ok())
+                    .unwrap_or_else(|| panic!("bad stage '{kv}' in '{stages}'"))
+            })
+            .sum();
+        assert_eq!(stages.split_whitespace().count(), 5, "{stages}");
+        assert!(sum <= *dur_us, "stages {stages} exceed duration {dur_us}us");
+    }
+    handle.shutdown();
 }
 
 /// An injected `slow@` device stall must surface everywhere the operator
@@ -211,9 +190,12 @@ fn cmd(parts: &[&str]) -> Vec<Vec<u8>> {
 /// RESETs clear both.
 #[test]
 fn slow_fault_surfaces_in_slowlog_and_latency() {
-    let handle = Server::start(store_for(1), opts_with_metrics()).expect("start");
+    let handle = Server::start(store_sharded(1, RATIO), opts_with_metrics()).expect("start");
     let port = handle.port();
-    let one = |args: &[&str]| bench::oneshot("127.0.0.1", port, &cmd(args)).expect("oneshot");
+    let one = |args: &[&str]| {
+        let parts: Vec<&[u8]> = args.iter().map(|a| a.as_bytes()).collect();
+        send(port, &parts)
+    };
 
     // 80 ms per device write from the next write on: far past both the
     // 10 ms slowlog default and the 50 ms latency-event threshold.
@@ -306,4 +288,221 @@ fn slow_fault_surfaces_in_slowlog_and_latency() {
     assert!(after.is_empty(), "history survived RESET");
 
     handle.shutdown();
+}
+
+/// Every `/metrics` family as `name kind label-keys`, written from the
+/// output of the commit before the stats stores were merged. `benchmark/`
+/// and the CI greps parse these names, kinds and labels.
+const METRIC_FAMILIES: &str = "\
+slimio_blocked_clients gauge
+slimio_busy_refused_total counter
+slimio_connections gauge
+slimio_connections_total counter
+slimio_device_capacity_bytes gauge
+slimio_device_die_busy_seconds gauge
+slimio_device_erases_total counter
+slimio_device_free_rus gauge
+slimio_device_gc_copied_pages_total counter
+slimio_device_gc_passes_total counter
+slimio_device_host_pages_total counter
+slimio_device_live_pages gauge
+slimio_device_reads_total counter
+slimio_device_ru_live_pages gauge pid
+slimio_device_ru_occupancy gauge pid
+slimio_device_trimmed_pages_total counter
+slimio_device_waf gauge
+slimio_device_wall_stall_seconds gauge
+slimio_device_write_commands_total counter
+slimio_engine_bytes gauge
+slimio_engine_peak_bytes gauge
+slimio_evicted_clients_total counter
+slimio_evicted_replicas_total counter
+slimio_keys gauge shard
+slimio_mem_used_bytes gauge shard
+slimio_net_in_bytes_total counter
+slimio_net_out_bytes_total counter
+slimio_od_snapshots_total counter shard
+slimio_oom_refused_total counter
+slimio_ops_total counter
+slimio_read_seconds histogram
+slimio_repl_applied_offset_bytes counter
+slimio_repl_backlog_bytes gauge
+slimio_repl_backlog_end_bytes counter
+slimio_repl_connected_replicas gauge
+slimio_repl_is_primary gauge
+slimio_repl_max_lag_bytes gauge
+slimio_shard_busy_refused_total counter shard
+slimio_shard_queue_cap gauge shard
+slimio_shard_queue_depth gauge shard
+slimio_shard_queue_hwm gauge shard
+slimio_uptime_seconds gauge
+slimio_view_published_seq counter shard
+slimio_wal_len_bytes gauge shard
+slimio_wal_snapshots_total counter shard
+slimio_write_batch_commands_total counter shard
+slimio_write_batches_total counter shard
+slimio_write_e2e_seconds histogram
+slimio_write_stage_seconds histogram stage,shard";
+
+/// `INFO`'s section headers and keys in order (a primary's view;
+/// `shard*` stands for one `shardN` line per shard).
+const INFO_LAYOUT: &str = "\
+# Server|backend|fdp|uptime_in_seconds|\
+# Clients|connected_clients|\
+# Stats|total_connections_received|total_commands_processed|total_net_input_bytes|\
+total_net_output_bytes|avg_ops_per_sec|latency_p50_us|latency_p99_us|latency_p999_us|\
+# Persistence|keys|mem_used_bytes|wal_len|wal_snapshots|od_snapshots|snapshot_in_progress|\
+last_snapshot_ms|recovered_keys|wal_records_replayed|\
+# Resources|maxmemory|engine_bytes|engine_peak_bytes|writer_queue_depth|writer_queue_cap|\
+writer_queue_hwm|blocked_clients|busy_refused|oom_refused|evicted_clients|evicted_replicas|\
+reply_buf_soft_limit_bytes|repl_feed_limit_bytes|\
+# Shards|shards|shard*|\
+# Replication|role|master_replid|master_repl_offset|repl_backlog_bytes|connected_replicas|\
+# Telemetry|metrics_port|slowlog_len|slowlog_threshold_us|latency_events|latency_last_event|\
+# Device|waf|device_capacity_bytes";
+
+/// `name kind label-keys` per family present in a scrape, histogram
+/// sample suffixes and the `le` label folded away.
+fn metric_families(text: &str) -> Vec<String> {
+    let mut kinds: Vec<(&str, &str)> = Vec::new();
+    let mut out = std::collections::BTreeSet::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            kinds.push(rest.split_once(' ').expect("TYPE line"));
+        } else if !line.starts_with('#') {
+            let series = line.rsplit_once(' ').expect("sample line").0;
+            let (name, labels) = series.split_once('{').unwrap_or((series, ""));
+            let (family, kind) = kinds
+                .iter()
+                .rev()
+                .find(|(f, _)| name.starts_with(f))
+                .unwrap_or_else(|| panic!("sample {name} before its TYPE line"));
+            let keys: Vec<&str> = labels
+                .trim_end_matches('}')
+                .split(',')
+                .filter_map(|kv| kv.split_once('=').map(|(k, _)| k))
+                .filter(|k| *k != "le")
+                .collect();
+            out.insert(
+                format!("{family} {kind} {}", keys.join(","))
+                    .trim()
+                    .to_string(),
+            );
+        }
+    }
+    out.into_iter().collect()
+}
+
+/// INFO and `/metrics` are two renderings of one stats store: their
+/// layouts are pinned to literal lists (so a refactor cannot silently
+/// rename what scrapers and CI read), and on a quiesced server every
+/// quantity both print has the same value in both — at one shard and at
+/// two, which take the same code path.
+#[test]
+fn info_and_metrics_are_two_renderings_of_the_same_numbers() {
+    const INFO_REQUEST_BYTES: f64 = 14.0; // "*1\r\n$4\r\nINFO\r\n"
+    for shards in [1usize, 2] {
+        let handle = Server::start(store_sharded(shards, RATIO), opts_with_metrics()).unwrap();
+        let mport = handle.metrics_addr().expect("metrics bound").port();
+        bench_load(handle.port(), 1200, 4, 30, 3);
+        // Quiesce: a connection thread leaves the client gauge last,
+        // after all its other accounting, so `connections == 0` means
+        // every counter below has settled.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let text = loop {
+            let text = scrape(mport);
+            if sample(&text, "slimio_connections") == Some(0.0) {
+                break text;
+            }
+            assert!(std::time::Instant::now() < deadline, "clients never left");
+        };
+        let info = common::info(handle.port());
+
+        // (a) INFO layout.
+        let layout: Vec<&str> = info
+            .lines()
+            .filter(|l| !l.is_empty())
+            .map(|l| l.split_once(':').map_or(l, |(k, _)| k))
+            .collect();
+        let shard_keys: Vec<String> = (0..shards).map(|i| format!("shard{i}")).collect();
+        let want: Vec<&str> = INFO_LAYOUT
+            .split('|')
+            .flat_map(|k| match k {
+                "shard*" => shard_keys.iter().map(String::as_str).collect(),
+                k => vec![k],
+            })
+            .collect();
+        assert_eq!(layout, want, "INFO layout changed ({shards} shards)");
+        // (b) /metrics families.
+        let want: Vec<&str> = METRIC_FAMILIES.lines().collect();
+        assert_eq!(metric_families(&text), want, "/metrics families changed");
+
+        // (c) Same numbers. The INFO connection is the one thing that
+        // happened after the scrape: one more client, 14 more bytes in.
+        let field = |key: &str| -> String {
+            let line = info
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("{key}:")));
+            line.unwrap_or_else(|| panic!("INFO lacks {key}"))
+                .to_string()
+        };
+        let metric = |series: &str| sample(&text, series).unwrap_or_else(|| panic!("no {series}"));
+        for (key, series, own) in [
+            ("total_commands_processed", "slimio_ops_total", 0.0),
+            ("connected_clients", "slimio_connections", 1.0),
+            (
+                "total_connections_received",
+                "slimio_connections_total",
+                1.0,
+            ),
+            (
+                "total_net_input_bytes",
+                "slimio_net_in_bytes_total",
+                INFO_REQUEST_BYTES,
+            ),
+            ("total_net_output_bytes", "slimio_net_out_bytes_total", 0.0),
+            ("busy_refused", "slimio_busy_refused_total", 0.0),
+            ("oom_refused", "slimio_oom_refused_total", 0.0),
+            ("evicted_clients", "slimio_evicted_clients_total", 0.0),
+            ("evicted_replicas", "slimio_evicted_replicas_total", 0.0),
+            ("blocked_clients", "slimio_blocked_clients", 0.0),
+            ("engine_bytes", "slimio_engine_bytes", 0.0),
+            ("engine_peak_bytes", "slimio_engine_peak_bytes", 0.0),
+            ("master_repl_offset", "slimio_repl_backlog_end_bytes", 0.0),
+            ("waf", "slimio_device_waf", 0.0),
+        ] {
+            let got: f64 = field(key).parse().expect("numeric INFO field");
+            assert_eq!(got, metric(series) + own, "{key} vs {series}");
+        }
+        // `shardN:` sub-fields in order, and the per-shard series each
+        // one must agree with (where one exists).
+        let shard_fields = [
+            ("queue_depth", Some("slimio_shard_queue_depth")),
+            ("queue_cap", Some("slimio_shard_queue_cap")),
+            ("queue_hwm", Some("slimio_shard_queue_hwm")),
+            ("busy_refused", Some("slimio_shard_busy_refused_total")),
+            ("batch_p50", None),
+            ("wal_len", Some("slimio_wal_len_bytes")),
+            ("keys", Some("slimio_keys")),
+            ("last_gseq", None),
+        ];
+        let mut keys_total = 0.0;
+        for i in 0..shards {
+            let line = field(&format!("shard{i}"));
+            let sub: Vec<&str> = line.split(',').collect();
+            assert_eq!(sub.len(), shard_fields.len(), "{line}");
+            for (kv, (key, family)) in sub.iter().zip(shard_fields) {
+                let value = kv.strip_prefix(key).and_then(|v| v.strip_prefix('='));
+                let value: f64 = value.and_then(|v| v.parse().ok()).expect(kv);
+                if let Some(family) = family {
+                    let want = metric(&format!("{family}{{shard=\"{i}\"}}"));
+                    assert_eq!(value, want, "shard{i} {key} vs {family}");
+                }
+            }
+            keys_total += metric(&format!("slimio_keys{{shard=\"{i}\"}}"));
+        }
+        assert!(keys_total > 0.0, "load left no keys");
+        assert_eq!(field("keys").parse::<f64>().unwrap(), keys_total);
+        handle.shutdown();
+    }
 }
