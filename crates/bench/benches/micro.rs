@@ -3,17 +3,17 @@
 //!
 //! These are component-level benches (the table/figure reproductions live
 //! in the `table*`/`fig*` binaries): event scheduler, ring transfer, FTL
-//! write/GC, compression, WAL/RDB codecs, histogram recording, Zipfian
-//! sampling. Each bench reports ns/op over a fixed iteration count after
-//! a warmup pass; pass `--quick` to shrink iteration counts for CI smoke
-//! runs.
+//! write/GC, compression, WAL/RDB codecs, histogram recording, restart
+//! on both I/O paths, Zipfian sampling. Each bench reports ns/op over a
+//! fixed iteration count after a warmup pass; pass `--quick` to shrink
+//! iteration counts for CI smoke runs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use slimio::{PassthruBackend, PassthruConfig};
+use slimio::PassthruBackend;
 use slimio_des::{Scheduler, SimTime, Xoshiro256};
 use slimio_ftl::{Ftl, FtlConfig, PlacementMode};
 use slimio_imdb::compress;
@@ -22,6 +22,7 @@ use slimio_imdb::wal::{decode, encode, WalRecord};
 use slimio_imdb::{Db, DbConfig, LogPolicy};
 use slimio_metrics::Histogram;
 use slimio_nvme::{DeviceConfig, NvmeDevice};
+use slimio_server::{BackendKind, Store, StoreConfig};
 use slimio_uring::{spsc, SharedClock};
 use slimio_workload::Zipfian;
 
@@ -278,7 +279,7 @@ fn bench_group_commit(h: &Harness) {
             1.0 / 128.0,
         ))));
         let mut db = Db::new(
-            PassthruBackend::new(device, SharedClock::new(), PassthruConfig::default()),
+            PassthruBackend::new(device, SharedClock::new()),
             DbConfig {
                 policy: LogPolicy::Always,
                 ..DbConfig::default()
@@ -301,6 +302,48 @@ fn bench_group_commit(h: &Harness) {
             "{:<40} {:>12.1} ns/SET",
             format!("group_commit/per_set_b{batch}"),
             per_op * 1e9 / batch as f64
+        );
+    }
+}
+
+/// Table 5's live counterpart: a restart (`Store::crash` → `open` →
+/// `Db::recover`) over a fixed 50 000-record log on each I/O path. The
+/// ratio of the two per-record lines is what the live benchmark's
+/// `kpath.recovery_ratio` measures end to end.
+fn bench_restart(h: &Harness) {
+    const RECORDS: u64 = 50_000;
+    let cfg = DbConfig {
+        policy: LogPolicy::Always,
+        ..DbConfig::default()
+    };
+    let value = [b'v'; 128];
+    for kind in [BackendKind::Kernel, BackendKind::Passthru] {
+        let mut store = Store::new(StoreConfig {
+            kind,
+            fdp: kind == BackendKind::Passthru,
+            ratio: 1.0 / 128.0,
+            shards: 1,
+        });
+        let mut db = Db::new(store.open().unwrap(), cfg);
+        for i in 0..RECORDS {
+            db.set_queued(format!("key:{i:06}").as_bytes(), &value);
+            if i % 64 == 63 || i + 1 == RECORDS {
+                db.batch_commit(SimTime::ZERO).unwrap();
+            }
+        }
+        let mut backend = Some(db.into_backend());
+        let name = format!("recovery/restart_{}", kind.name());
+        let per_restart = h.bench(&name, 8, |_| {
+            store.crash(backend.take().expect("one backend in hand"));
+            let reopened = store.open().unwrap();
+            let (db, replayed) = Db::recover(reopened, cfg, SimTime::ZERO).unwrap();
+            assert_eq!(replayed, RECORDS);
+            backend = Some(db.into_backend());
+        });
+        println!(
+            "{:<40} {:>12.1} ns/record",
+            format!("{name}_per_record"),
+            per_restart * 1e9 / RECORDS as f64
         );
     }
 }
@@ -330,5 +373,6 @@ fn main() {
     bench_codecs(&h);
     bench_metrics(&h);
     bench_group_commit(&h);
+    bench_restart(&h);
     bench_zipf(&h);
 }

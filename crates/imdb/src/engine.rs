@@ -11,7 +11,7 @@ use crate::backend::{BackendError, IoTiming, PersistBackend, SnapshotKind};
 use crate::fxhash::FxBuildHasher;
 use crate::snapshot::SnapshotJob;
 use crate::view::{ReadView, ViewWriter};
-use crate::wal::{self, WalBuffer, WalRecord};
+use crate::wal::{self, WalBuffer};
 
 /// An owned `(key, value)` pair as the engine shares it across threads
 /// — the element type of [`Db::sorted_entries`] and the unit a sharded
@@ -356,24 +356,45 @@ impl<B: PersistBackend> Db<B> {
             self.view_pending.push((k.clone(), Some(v.clone())));
             self.view_pending_bytes += (key.len() + value.len()) as u64;
         }
-        let mut cow_retained = 0u64;
-        match self.map.insert(k, v) {
-            Some(old) => {
-                // CoW: while a snapshot view holds the old value, replacing
-                // it keeps the old bytes resident.
-                if self.snapshot.is_some() {
-                    cow_retained = old.len() as u64;
-                    self.retained_mem += cow_retained;
-                }
-                self.base_mem -= old.len() as u64;
-                self.base_mem += value.len() as u64;
-            }
-            None => {
-                self.base_mem += (key.len() + value.len()) as u64 + self.cfg.entry_overhead;
-            }
-        }
+        let cow_retained = self.put(k, v);
         self.bump_peak();
         cow_retained
+    }
+
+    /// Inserts into the keyspace, keeping `base_mem` in step. Returns the
+    /// CoW bytes newly retained. With [`Db::remove`], the one place the
+    /// keyspace changes: live writes and recovery both apply through it.
+    fn put(&mut self, key: Arc<[u8]>, value: Arc<[u8]>) -> u64 {
+        let (klen, vlen) = (key.len() as u64, value.len() as u64);
+        match self.map.insert(key, value) {
+            Some(old) => {
+                self.base_mem -= old.len() as u64;
+                self.base_mem += vlen;
+                self.retain_cow(&old)
+            }
+            None => {
+                self.base_mem += klen + vlen + self.cfg.entry_overhead;
+                0
+            }
+        }
+    }
+
+    /// Removes a key, keeping `base_mem` in step. Returns the CoW bytes
+    /// newly retained, or `None` when the key was absent.
+    fn remove(&mut self, key: &[u8]) -> Option<u64> {
+        let old = self.map.remove(key)?;
+        self.base_mem -= (key.len() + old.len()) as u64 + self.cfg.entry_overhead;
+        Some(self.retain_cow(&old))
+    }
+
+    /// CoW: while a snapshot view holds the old value, replacing it keeps
+    /// the old bytes resident.
+    fn retain_cow(&mut self, old: &[u8]) -> u64 {
+        if self.snapshot.is_none() {
+            return 0;
+        }
+        self.retained_mem += old.len() as u64;
+        old.len() as u64
     }
 
     /// `DEL key`. Returns the reply and whether a key was actually
@@ -403,26 +424,17 @@ impl<B: PersistBackend> Db<B> {
     /// effective deletes log a record and so need a commit).
     pub fn del_queued(&mut self, key: &[u8]) -> (u64, bool) {
         self.stats.dels += 1;
-        let mut cow_retained = 0u64;
-        let removed = match self.map.remove(key) {
-            Some(old) => {
-                let seq = self.next_seq();
-                self.wal_buf.push_del(seq, key);
-                if self.view.is_some() {
-                    self.view_pending.push((key.into(), None));
-                    self.view_pending_bytes += key.len() as u64;
-                }
-                if self.snapshot.is_some() {
-                    cow_retained = old.len() as u64;
-                    self.retained_mem += cow_retained;
-                }
-                self.base_mem -= (key.len() + old.len()) as u64 + self.cfg.entry_overhead;
-                true
-            }
-            None => false,
+        let Some(cow_retained) = self.remove(key) else {
+            return (0, false);
         };
+        let seq = self.next_seq();
+        self.wal_buf.push_del(seq, key);
+        if self.view.is_some() {
+            self.view_pending.push((key.into(), None));
+            self.view_pending_bytes += key.len() as u64;
+        }
         self.bump_peak();
-        (cow_retained, removed)
+        (cow_retained, true)
     }
 
     /// Group commit: runs the logging policy once for every record queued
@@ -445,22 +457,17 @@ impl<B: PersistBackend> Db<B> {
         self.wal_buf.len()
     }
 
+    /// Flush, then sync what was flushed: per command under `Always`, once
+    /// per `flush_interval` under `Periodical` (`appendfsync everysec` is
+    /// write + fsync every second, not write alone).
     fn log_per_policy(&mut self, now: SimTime) -> Result<SimTime, DbError> {
-        match self.cfg.policy {
-            LogPolicy::Always => {
-                let t = self.flush_wal(now)?;
-                let t = self.sync_wal(t.done_at)?;
-                Ok(t.done_at)
-            }
-            LogPolicy::Periodical { flush_interval } => {
-                if now.saturating_sub(self.last_flush) >= flush_interval {
-                    let t = self.flush_wal(now)?;
-                    Ok(t.done_at)
-                } else {
-                    Ok(now)
-                }
+        if let LogPolicy::Periodical { flush_interval } = self.cfg.policy {
+            if now.saturating_sub(self.last_flush) < flush_interval {
+                return Ok(now);
             }
         }
+        let t = self.flush_wal(now)?;
+        Ok(self.sync_wal(t.done_at)?.done_at)
     }
 
     /// Flushes the user-level WAL buffer to the backend.
@@ -592,10 +599,8 @@ impl<B: PersistBackend> Db<B> {
 
     /// Periodic maintenance (Periodical-Log flush timer).
     pub fn tick(&mut self, now: SimTime) -> Result<(), DbError> {
-        if let LogPolicy::Periodical { flush_interval } = self.cfg.policy {
-            if now.saturating_sub(self.last_flush) >= flush_interval && !self.wal_buf.is_empty() {
-                self.flush_wal(now)?;
-            }
+        if self.cfg.policy != LogPolicy::Always && !self.wal_buf.is_empty() {
+            self.log_per_policy(now)?;
         }
         Ok(())
     }
@@ -619,41 +624,22 @@ impl<B: PersistBackend> Db<B> {
         let (snap, t1) = backend.load_snapshot(SnapshotKind::WalSnapshot, now)?;
         let mut db = Db::new(backend, cfg);
         if let Some(stream) = snap {
-            let entries = crate::rdb::read_all(&stream).map_err(DbError::Recovery)?;
-            for (k, v) in entries {
-                db.base_mem += (k.len() + v.len()) as u64 + cfg.entry_overhead;
-                db.map.insert(k.into(), v.into());
+            for (k, v) in crate::rdb::read_all(&stream).map_err(DbError::Recovery)? {
+                db.put(k.into(), v.into());
             }
         }
         let (wal_bytes, _t2) = db.backend.load_wal(t1.done_at)?;
-        let records = wal::replay(&wal_bytes);
-        let replayed = records.len() as u64;
-        let mut seqs = Vec::with_capacity(records.len());
-        for rec in records {
-            db.seq = db.seq.max(rec.seq());
-            seqs.push(rec.seq());
-            match rec {
-                WalRecord::Set { key, value, .. } => {
-                    let old = db.map.insert(key.clone().into(), value.clone().into());
-                    match old {
-                        Some(o) => {
-                            db.base_mem -= o.len() as u64;
-                            db.base_mem += value.len() as u64;
-                        }
-                        None => {
-                            db.base_mem += (key.len() + value.len()) as u64 + cfg.entry_overhead;
-                        }
-                    }
-                }
-                WalRecord::Del { key, .. } => {
-                    if let Some(o) = db.map.remove(key.as_slice()) {
-                        db.base_mem -= (key.len() + o.len()) as u64 + cfg.entry_overhead;
-                    }
-                }
-            }
+        let mut seqs = Vec::new();
+        for rec in wal::records(&wal_bytes) {
+            db.seq = db.seq.max(rec.seq);
+            seqs.push(rec.seq);
+            match rec.value {
+                Some(value) => db.put(rec.key.into(), value.into()),
+                None => db.remove(rec.key).unwrap_or(0),
+            };
         }
         db.bump_peak();
-        Ok((db, replayed, seqs))
+        Ok((db, seqs.len() as u64, seqs))
     }
 }
 
@@ -835,29 +821,58 @@ mod tests {
     #[test]
     fn recovery_restores_keyspace() {
         let mut db = file_db(LogPolicy::Always);
+        // The same commands through the live write path, never persisted:
+        // recovery must apply a record exactly as `*_queued` does.
+        let mut twin = file_db(LogPolicy::Always);
         for i in 0..200u32 {
-            db.set(
-                format!("key{i}").as_bytes(),
-                format!("val{i}").as_bytes(),
-                SimTime::ZERO,
-            )
-            .unwrap();
+            let (k, v) = (format!("key{i}"), format!("val{i}"));
+            db.set(k.as_bytes(), v.as_bytes(), SimTime::ZERO).unwrap();
+            twin.set_queued(k.as_bytes(), v.as_bytes());
         }
         db.del(b"key0", SimTime::ZERO).unwrap();
+        twin.del_queued(b"key0");
         db.snapshot_run(SnapshotKind::WalSnapshot, SimTime::ZERO)
             .unwrap();
-        // Post-snapshot writes land in the WAL tail.
-        db.set(b"after", b"snap", SimTime::ZERO).unwrap();
-        db.flush_wal(SimTime::ZERO).unwrap();
-        db.sync_wal(SimTime::ZERO).unwrap();
+        // Post-snapshot writes land in the WAL tail: a new key, an
+        // overwrite of a snapshot key with a longer value, a delete of a
+        // snapshot key, a no-op delete, and a key set, deleted and set again.
+        let tail: [(&[u8], Option<&[u8]>); 7] = [
+            (b"after", Some(b"snap")),
+            (b"key42", Some(b"a longer value than val42")),
+            (b"key7", None),
+            (b"ghost", None),
+            (b"after", None),
+            (b"after", Some(b"snap")),
+            (b"key199", Some(b"")),
+        ];
+        for (k, v) in tail {
+            match v {
+                Some(v) => {
+                    db.set(k, v, SimTime::ZERO).unwrap();
+                    twin.set_queued(k, v);
+                }
+                None => {
+                    db.del(k, SimTime::ZERO).unwrap();
+                    twin.del_queued(k);
+                }
+            }
+        }
 
         let backend = db.into_backend();
         let (mut db2, replayed) = Db::recover(backend, DbConfig::default(), SimTime::ZERO).unwrap();
-        assert_eq!(db2.len(), 200); // 200 set - 1 del + 1 after
+        assert_eq!(db2.len(), 199); // 200 set - key0 - key7 + after
         assert_eq!(&*db2.get(b"after").unwrap(), b"snap");
         assert!(db2.get(b"key0").is_none());
-        assert_eq!(&*db2.get(b"key42").unwrap(), b"val42");
-        assert_eq!(replayed, 1);
+        assert_eq!(&*db2.get(b"key1").unwrap(), b"val1");
+        assert_eq!(replayed, 6); // the no-op delete logged nothing
+        assert_eq!(
+            digest_of_sorted(&db2.sorted_entries()),
+            digest_of_sorted(&twin.sorted_entries())
+        );
+        assert_eq!(
+            (db2.seq(), db2.len(), db2.mem_used()),
+            (twin.seq(), twin.len(), twin.mem_used())
+        );
     }
 
     #[test]

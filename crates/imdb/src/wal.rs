@@ -100,14 +100,42 @@ pub enum WalDecodeError {
     BadFraming,
 }
 
-/// Decodes one record from the front of `buf`.
+/// A record decoded in place: `key` and `value` borrow the log bytes, so
+/// recovery applies a record without building an owned [`WalRecord`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WalRecordRef<'a> {
+    /// Monotonic sequence number.
+    pub seq: u64,
+    /// Key bytes.
+    pub key: &'a [u8],
+    /// `Some(value)` for a `SET`, `None` for a `DEL`.
+    pub value: Option<&'a [u8]>,
+}
+
+impl WalRecordRef<'_> {
+    /// Copies the record out of the log.
+    pub fn to_owned(self) -> WalRecord {
+        let (seq, key) = (self.seq, self.key.to_vec());
+        match self.value.map(<[u8]>::to_vec) {
+            Some(value) => WalRecord::Set { seq, key, value },
+            None => WalRecord::Del { seq, key },
+        }
+    }
+}
+
+/// Decodes one record from the front of `buf` without copying it.
 /// Returns the record and the bytes consumed.
-pub fn decode(buf: &[u8]) -> Result<(WalRecord, usize), WalDecodeError> {
+pub fn decode_ref(buf: &[u8]) -> Result<(WalRecordRef<'_>, usize), WalDecodeError> {
     if buf.len() < 4 {
         return Err(WalDecodeError::Truncated);
     }
     let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    if len < 8 + 1 + 4 + 4 + 4 || buf.len() < 4 + len {
+    // No record is shorter than its fixed fields: such a length is garbage
+    // (deallocated LBAs read as zeroes), not a record still arriving.
+    if len < 8 + 1 + 4 + 4 + 4 {
+        return Err(WalDecodeError::BadFraming);
+    }
+    if buf.len() < 4 + len {
         return Err(WalDecodeError::Truncated);
     }
     let body = &buf[4..4 + len - 4];
@@ -121,39 +149,38 @@ pub fn decode(buf: &[u8]) -> Result<(WalRecord, usize), WalDecodeError> {
     if 13 + klen + 4 > body.len() {
         return Err(WalDecodeError::BadFraming);
     }
-    let key = body[13..13 + klen].to_vec();
+    let key = &body[13..13 + klen];
     let vlen = u32::from_le_bytes(body[13 + klen..13 + klen + 4].try_into().unwrap()) as usize;
     if 13 + klen + 4 + vlen != body.len() {
         return Err(WalDecodeError::BadFraming);
     }
-    let rec = match op {
-        OP_SET => WalRecord::Set {
-            seq,
-            key,
-            value: body[13 + klen + 4..].to_vec(),
-        },
-        OP_DEL => WalRecord::Del { seq, key },
+    let value = match op {
+        OP_SET => Some(&body[13 + klen + 4..]),
+        OP_DEL => None,
         other => return Err(WalDecodeError::BadOp(other)),
     };
-    Ok((rec, 4 + len))
+    Ok((WalRecordRef { seq, key, value }, 4 + len))
 }
 
-/// Replays a WAL byte stream, yielding records until the bytes run out or
-/// a torn/corrupt record is hit (which ends replay, mirroring Redis's
-/// truncated-AOF handling).
+/// Decodes one record from the front of `buf` into an owned [`WalRecord`].
+pub fn decode(buf: &[u8]) -> Result<(WalRecord, usize), WalDecodeError> {
+    decode_ref(buf).map(|(rec, used)| (rec.to_owned(), used))
+}
+
+/// Walks a WAL byte stream in place, yielding records until the bytes run
+/// out or a torn/corrupt record is hit (which ends the walk, mirroring
+/// Redis's truncated-AOF handling).
+pub fn records(mut buf: &[u8]) -> impl Iterator<Item = WalRecordRef<'_>> {
+    std::iter::from_fn(move || {
+        let (rec, used) = decode_ref(buf).ok()?;
+        buf = &buf[used..];
+        Some(rec)
+    })
+}
+
+/// [`records`], copied out into owned records.
 pub fn replay(buf: &[u8]) -> Vec<WalRecord> {
-    let mut out = Vec::new();
-    let mut pos = 0;
-    while pos < buf.len() {
-        match decode(&buf[pos..]) {
-            Ok((rec, used)) => {
-                out.push(rec);
-                pos += used;
-            }
-            Err(_) => break,
-        }
-    }
-    out
+    records(buf).map(WalRecordRef::to_owned).collect()
 }
 
 /// The user-level WAL buffer (Redis's `aof_buf`).
@@ -164,7 +191,6 @@ pub fn replay(buf: &[u8]) -> Vec<WalRecord> {
 #[derive(Debug, Default)]
 pub struct WalBuffer {
     buf: Vec<u8>,
-    records: u64,
 }
 
 impl WalBuffer {
@@ -173,21 +199,13 @@ impl WalBuffer {
         Self::default()
     }
 
-    /// Appends a record; returns its encoded size in bytes.
-    pub fn push(&mut self, rec: &WalRecord) -> usize {
-        self.records += 1;
-        encode(rec, &mut self.buf)
-    }
-
     /// Appends a `SET` from borrowed bytes — no owned record is built.
     pub fn push_set(&mut self, seq: u64, key: &[u8], value: &[u8]) -> usize {
-        self.records += 1;
         encode_set(seq, key, value, &mut self.buf)
     }
 
     /// Appends a `DEL` from a borrowed key — no owned record is built.
     pub fn push_del(&mut self, seq: u64, key: &[u8]) -> usize {
-        self.records += 1;
         encode_del(seq, key, &mut self.buf)
     }
 
@@ -199,7 +217,6 @@ impl WalBuffer {
 
     /// Empties the buffer, keeping its allocation for the next fill.
     pub fn clear(&mut self) {
-        self.records = 0;
         self.buf.clear();
     }
 
@@ -211,17 +228,6 @@ impl WalBuffer {
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Records currently buffered.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Takes the buffered bytes, leaving the buffer empty.
-    pub fn take(&mut self) -> Vec<u8> {
-        self.records = 0;
-        std::mem::take(&mut self.buf)
     }
 }
 
@@ -307,16 +313,15 @@ mod tests {
     }
 
     #[test]
-    fn buffer_accumulates_and_takes() {
+    fn buffer_accumulates_and_clears() {
         let mut wb = WalBuffer::new();
         assert!(wb.is_empty());
-        wb.push(&set(1, b"x", b"y"));
-        wb.push(&set(2, b"z", b"w"));
-        assert_eq!(wb.records(), 2);
-        let bytes = wb.take();
+        wb.push_set(1, b"x", b"y");
+        wb.push_del(2, b"x");
+        assert_eq!(wb.len(), wb.bytes().len());
+        assert_eq!(replay(wb.bytes()).len(), 2);
+        wb.clear();
         assert!(wb.is_empty());
-        assert_eq!(wb.records(), 0);
-        assert_eq!(replay(&bytes).len(), 2);
     }
 
     #[test]

@@ -62,6 +62,23 @@ fn lzf_decompress_never_panics_on_garbage() {
     }
 }
 
+/// The borrowed decoder is the owned decoder: same fields and length, or
+/// the same error.
+fn assert_decoders_agree(buf: &[u8]) {
+    match (wal::decode_ref(buf), wal::decode(buf)) {
+        (Ok((r, used_ref)), Ok((o, used))) => {
+            assert_eq!(used_ref, used);
+            let (seq, key, value) = match &o {
+                WalRecord::Set { seq, key, value } => (*seq, key, Some(value.as_slice())),
+                WalRecord::Del { seq, key } => (*seq, key, None),
+            };
+            assert_eq!((r.seq, r.key, r.value), (seq, key.as_slice(), value));
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b),
+        (a, b) => panic!("decoders disagree: {a:?} vs {b:?}"),
+    }
+}
+
 #[test]
 fn wal_record_roundtrip() {
     let mut rng = Xoshiro256::new(0x12F_0004);
@@ -79,6 +96,18 @@ fn wal_record_roundtrip() {
         let (decoded, used) = wal::decode(&buf).unwrap();
         assert_eq!(decoded, rec);
         assert_eq!(used, buf.len());
+        // Both decoders, at every truncation point and under every
+        // single-bit flip (quadratic in the record, so on the shorter ones).
+        for cut in 0..=buf.len() {
+            assert_decoders_agree(&buf[..cut]);
+        }
+        if buf.len() <= 1024 {
+            for bit in 0..buf.len() * 8 {
+                buf[bit / 8] ^= 1 << (bit % 8);
+                assert_decoders_agree(&buf);
+                buf[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
     }
 }
 

@@ -236,8 +236,8 @@ impl NvmeDevice {
         self.fault = None;
     }
 
-    /// True while a fault plan is armed. Upper layers use this to decide
-    /// whether to keep retry bookkeeping, so the unarmed path stays free.
+    /// True while a fault plan is armed (diagnostics; no I/O path branches
+    /// on it — armed and unarmed runs submit the same commands).
     pub fn fault_armed(&self) -> bool {
         self.fault.is_some()
     }

@@ -10,8 +10,9 @@
 
 use std::sync::{Arc, Mutex};
 
+use slimio::layout::WAL_FRAC;
 use slimio::pids::PidSet;
-use slimio::{Layout, PassthruBackend, PassthruConfig};
+use slimio::{Layout, PassthruBackend};
 use slimio_des::SimTime;
 use slimio_imdb::backend::{BackendError, FileBackend, IoTiming, PersistBackend, SnapshotKind};
 use slimio_kpath::{FsProfile, KernelCosts, SimFs};
@@ -204,7 +205,7 @@ impl Store {
     fn shard_layout(&self, shard: usize) -> Layout {
         let capacity = self.device.lock().unwrap().capacity_blocks();
         let per = capacity / self.cfg.shards as u64;
-        Layout::partition_at(shard as u64 * per, per, PassthruConfig::default().wal_frac)
+        Layout::partition_at(shard as u64 * per, per, WAL_FRAC)
     }
 
     /// The store's wall clock (shared with rings and the server).
@@ -265,12 +266,11 @@ impl Store {
             BackendKind::Passthru => {
                 for shard in 0..self.cfg.shards {
                     let (device, clock) = (Arc::clone(&self.device), self.clock.clone());
-                    let (cfg, layout) = (PassthruConfig::default(), self.shard_layout(shard));
-                    let pids = PidSet::for_shard(shard);
+                    let (layout, pids) = (self.shard_layout(shard), PidSet::for_shard(shard));
                     let b = if self.opened {
-                        PassthruBackend::recover_at(device, clock, cfg, layout, pids)?
+                        PassthruBackend::recover_at(device, clock, layout, pids)?
                     } else {
-                        PassthruBackend::new_at(device, clock, cfg, layout, pids)
+                        PassthruBackend::new_at(device, clock, layout, pids)
                     };
                     out.push(AnyBackend::Passthru(Box::new(b)));
                 }
@@ -356,6 +356,116 @@ mod tests {
             let backend = store.open().unwrap();
             let (mut db, _) = Db::recover(backend, db_cfg(), SimTime::ZERO).unwrap();
             assert_eq!(&*db.get(b"k").unwrap(), b"v", "{kind:?}");
+            store.close(db.into_backend());
+        }
+    }
+
+    /// `2 + snapshot pages + live WAL pages + 128` device page reads per
+    /// shard for `Store::open` + `Db::recover`: two metadata pages, each
+    /// live page once, and at most one read batch past the durable head.
+    /// No clocks: the FTL's page-read counter is the measurement.
+    #[test]
+    fn restart_reads_each_live_page_once() {
+        const PAGE: u64 = slimio_nvme::LBA_BYTES as u64;
+        for shards in [1usize, 2] {
+            let mut store = Store::new(StoreConfig {
+                shards,
+                ratio: 1.0 / 128.0,
+                ..StoreConfig::default()
+            });
+            let mut dbs: Vec<_> = store
+                .open_shards()
+                .unwrap()
+                .into_iter()
+                .map(|b| Db::new(b, db_cfg()))
+                .collect();
+            let write = |dbs: &mut Vec<Db<AnyBackend>>, range: std::ops::Range<usize>| {
+                for i in range {
+                    let key = format!("budget:{i:04}");
+                    dbs[i % shards]
+                        .set(key.as_bytes(), &[i as u8; 1500], SimTime::ZERO)
+                        .unwrap();
+                }
+            };
+            // Shard 0 restarts from a WAL-snapshot plus a tail; any other
+            // shard from its log alone.
+            write(&mut dbs, 0..120);
+            dbs[0]
+                .snapshot_run(SnapshotKind::WalSnapshot, SimTime::ZERO)
+                .unwrap();
+            write(&mut dbs, 120..300);
+
+            let (mut snapshot_pages, mut wal_pages) = (0, 0);
+            for db in dbs {
+                let AnyBackend::Passthru(b) = db.backend() else {
+                    unreachable!("passthru store");
+                };
+                let snapshot = b.slot_table().len_of(slimio::slots::SlotRole::WalSnapshot);
+                snapshot_pages += snapshot.div_ceil(PAGE);
+                // A tail in mid-page can make the log straddle one more page.
+                wal_pages += b.wal_len().div_ceil(PAGE) + 1;
+                store.crash(db.into_backend());
+            }
+            let budget = shards as u64 * (2 + 128) + snapshot_pages + wal_pages;
+
+            let reads = |store: &Store| store.device().lock().unwrap().telemetry().reads;
+            let before = reads(&store);
+            let backends = store.open_shards().unwrap();
+            let opened = reads(&store);
+            let mut keys = 0;
+            for b in backends {
+                let (db, _) = Db::recover(b, db_cfg(), SimTime::ZERO).unwrap();
+                keys += db.len();
+                store.close(db.into_backend());
+            }
+            assert_eq!(keys, 300, "shards={shards}");
+            let after = reads(&store);
+            assert!(
+                after - before <= budget,
+                "shards={shards}: restart read {} pages, budget {budget}",
+                after - before
+            );
+            // Replay consumes what `open` scanned: past it only the snapshot
+            // slot is read, never the WAL region again.
+            assert_eq!(
+                after - opened,
+                snapshot_pages,
+                "shards={shards}: `Db::recover` read the device beyond the snapshot slot"
+            );
+        }
+    }
+
+    /// `appendfsync everysec` is write + fsync once per interval: what a
+    /// timer tick flushed survives a kill on both I/O paths; SETs still
+    /// inside the interval may be lost, and what comes back is a prefix.
+    /// Virtual time only — `now` is an argument, nothing sleeps.
+    #[test]
+    fn everysec_tick_makes_what_it_flushed_durable() {
+        let cfg = DbConfig {
+            policy: LogPolicy::periodical_default(),
+            ..DbConfig::default()
+        };
+        let key = |i: u64| format!("sec:{i:03}").into_bytes();
+        for kind in [BackendKind::Kernel, BackendKind::Passthru] {
+            let mut store = tiny_store(kind);
+            let mut db = Db::new(store.open().unwrap(), cfg);
+            for i in 0..50 {
+                db.set(&key(i), b"v", SimTime::from_millis(i)).unwrap();
+            }
+            db.tick(SimTime::from_millis(1_500)).unwrap();
+            for i in 50..60 {
+                db.set(&key(i), b"v", SimTime::from_millis(1_550 + i))
+                    .unwrap();
+            }
+            store.crash(db.into_backend());
+
+            let (mut db, _) = Db::recover(store.open().unwrap(), cfg, SimTime::ZERO).unwrap();
+            let kept = (0..60).take_while(|&i| db.get(&key(i)).is_some()).count();
+            assert!(
+                kept >= 50,
+                "{kind:?}: only {kept} of 50 flushed SETs survived"
+            );
+            assert_eq!(db.len(), kept, "{kind:?}: recovered state is not a prefix");
             store.close(db.into_backend());
         }
     }

@@ -487,7 +487,8 @@ impl Writer {
     /// flush and sync unconditionally — a mid-batch BGSAVE/BGREWRITEAOF
     /// flushes the buffer as a side effect of forking, and those records
     /// still need this sync before their acks may be released. Under
-    /// `Periodical` the flush stays interval-gated, as in the paper.
+    /// `Periodical` the flush — and the sync of what it flushed — stays
+    /// interval-gated inside the engine, as in the paper.
     ///
     /// Returns the commit's wall-clock cost split at the flush/sync
     /// boundary — the `wal_append` and `device_sync` telemetry stages.

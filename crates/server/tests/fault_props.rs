@@ -6,6 +6,10 @@
 //!
 //! This drives the engine directly over a [`Store`] (no TCP), so the
 //! enumeration over `pc@n` for n = 1..=W is cheap enough to be complete.
+//! It runs twice: with records that fit one page, and with values past
+//! 4 KiB so one append spans pages and reaches the device as vectored
+//! multi-block commands — the armed run and the counting run take the
+//! same submit path, so `n` means the same write in both.
 
 use slimio_des::SimTime;
 use slimio_imdb::{Db, DbConfig, LogPolicy};
@@ -29,27 +33,31 @@ fn key(i: usize) -> Vec<u8> {
     format!("prop:{i:03}").into_bytes()
 }
 
-fn val(i: usize) -> Vec<u8> {
-    format!("value-{i}").into_bytes()
+/// Value `i`, zero-padded on the right to at least `min_len` bytes.
+fn val(i: usize, min_len: usize) -> Vec<u8> {
+    let mut v = format!("value-{i}").into_bytes();
+    v.resize(v.len().max(min_len), 0);
+    v
 }
 
 /// Runs the fixed workload with no faults and reports how many device
 /// write commands it issues after the backend is open.
-fn fault_free_write_count(kind: BackendKind) -> u64 {
+fn fault_free_write_count(kind: BackendKind, min_len: usize) -> u64 {
     let mut store = store_for(kind, RATIO);
     let backend = store.open().expect("open");
     let mut db = Db::new(backend, cfg());
     let before = store.device().lock().unwrap().write_commands();
     for i in 0..OPS {
-        db.set(&key(i), &val(i), SimTime::ZERO).expect("set");
+        db.set(&key(i), &val(i, min_len), SimTime::ZERO)
+            .expect("set");
     }
     let after = store.device().lock().unwrap().write_commands();
     store.close(db.into_backend());
     after - before
 }
 
-fn wal_boundary_prefix(kind: BackendKind) {
-    let writes = fault_free_write_count(kind);
+fn wal_boundary_prefix(kind: BackendKind, min_len: usize) {
+    let writes = fault_free_write_count(kind, min_len);
     assert!(
         writes >= OPS as u64,
         "{kind:?}: Always must issue at least one device write per op"
@@ -67,7 +75,7 @@ fn wal_boundary_prefix(kind: BackendKind) {
         let mut issued = 0usize;
         for i in 0..OPS {
             issued = i + 1;
-            match db.set(&key(i), &val(i), SimTime::ZERO) {
+            match db.set(&key(i), &val(i, min_len), SimTime::ZERO) {
                 Ok(_) => acked = i + 1,
                 Err(_) => break,
             }
@@ -98,7 +106,7 @@ fn wal_boundary_prefix(kind: BackendKind) {
         for i in 0..m {
             assert_eq!(
                 &*rec.get(&key(i)).unwrap(),
-                &val(i)[..],
+                &val(i, min_len)[..],
                 "{kind:?} pc@{n}: key {i} recovered with a foreign value"
             );
         }
@@ -117,10 +125,12 @@ fn wal_boundary_prefix(kind: BackendKind) {
 
 #[test]
 fn kernel_every_write_boundary_recovers_the_synced_prefix() {
-    wal_boundary_prefix(BackendKind::Kernel);
+    wal_boundary_prefix(BackendKind::Kernel, 0);
+    wal_boundary_prefix(BackendKind::Kernel, 5000);
 }
 
 #[test]
 fn passthru_every_write_boundary_recovers_the_synced_prefix() {
-    wal_boundary_prefix(BackendKind::Passthru);
+    wal_boundary_prefix(BackendKind::Passthru, 0);
+    wal_boundary_prefix(BackendKind::Passthru, 5000);
 }

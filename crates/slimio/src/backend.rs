@@ -12,49 +12,47 @@
 //! ring: a poller thread drains the SQ, so the snapshot process submits
 //! with zero syscalls. Both rings target the same emulated NVMe device;
 //! every write carries its stream's Placement ID (§4.3).
+//!
+//! The file reads top to bottom as: constants → construction ([`build`]
+//! is the one constructor body) → the one write path ([`submit_writes`])
+//! → the one read path ([`read_pages`]) and the WAL scan over it → the
+//! nine [`PersistBackend`] methods, each a few lines over those helpers.
+//!
+//! [`build`]: PassthruBackend::build
+//! [`submit_writes`]: PassthruBackend::submit_writes
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use slimio_des::SimTime;
 use slimio_ftl::Pid;
 use slimio_imdb::backend::{BackendError, IoTiming, PersistBackend, SnapshotKind};
-use slimio_imdb::wal as walcodec;
+use slimio_imdb::wal::{self as walcodec, WalDecodeError};
 use slimio_nvme::{DeviceError, NvmeDevice, LBA_BYTES};
 use slimio_uring::{Cqe, CqeResult, IoUring, PassthruCosts, RingError, SharedClock, Sqe, SqeOp};
-use std::sync::Mutex;
 
-use crate::layout::Layout;
+use crate::layout::{Layout, META_LBAS};
 use crate::metadata::{pick_newest, MetaRecord};
-use crate::pids;
-use crate::readahead::RecoveryReader;
+use crate::pids::PidSet;
 use crate::slots::{SlotRole, SlotTable};
 use crate::wal_log::{PageWrite, WalLog};
 
-/// Backend configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct PassthruConfig {
-    /// SQ depth of each ring.
-    pub ring_depth: usize,
-    /// Fraction of the device given to the WAL region.
-    pub wal_frac: f64,
-    /// Run the Snapshot-Path in SQPOLL mode (the paper's configuration;
-    /// `false` is the ablation knob).
-    pub sqpoll_snapshot: bool,
-    /// CPU cost constants for ring operations.
-    pub costs: PassthruCosts,
-}
+const PAGE: u64 = LBA_BYTES as u64;
 
-impl Default for PassthruConfig {
-    fn default() -> Self {
-        PassthruConfig {
-            ring_depth: 256,
-            wal_frac: 0.40,
-            sqpoll_snapshot: true,
-            costs: PassthruCosts::default(),
-        }
-    }
-}
+/// SQ depth of each ring.
+const RING_DEPTH: usize = 256;
+
+/// Bounded re-drives of a transiently failed write — the completion
+/// handler's requeue. Mirrors the kernel path's block-layer retry bound.
+const WRITE_RETRIES: usize = 64;
+
+/// Longest contiguous run of pages folded into one write SQE (bounds the
+/// gather copy).
+const MAX_RUN: usize = 64;
+
+/// Pages per read command on the restart path (512 KiB): large batched
+/// passthru reads instead of one syscall per `read()` through the page
+/// cache (§5.3, Table 5).
+const READ_BATCH: u64 = 128;
 
 struct SnapState {
     kind: SnapshotKind,
@@ -69,23 +67,20 @@ struct SnapState {
 pub struct PassthruBackend {
     device: Arc<Mutex<NvmeDevice>>,
     clock: SharedClock,
-    cfg: PassthruConfig,
+    /// CPU cost constants for ring operations.
+    costs: PassthruCosts,
     layout: Layout,
-    pids: pids::PidSet,
+    pids: PidSet,
     wal_ring: IoUring,
     snap_ring: IoUring,
     wal: WalLog,
     slots: SlotTable,
     epoch: u64,
-    next_ud: u64,
     snap: Option<SnapState>,
-    /// Retry bookkeeping for submitted page writes; populated only while a
-    /// device fault plan is armed (`track_faults`), so the common path
-    /// stays allocation- and lookup-free.
-    inflight: Inflight,
-    /// Snapshot of `device.fault_armed()`, refreshed at each backend entry
-    /// point that writes.
-    track_faults: bool,
+    /// The validated `[tail, head)` bytes the restart scan read. The first
+    /// [`PersistBackend::load_wal`] hands them over instead of reading the
+    /// device again; anything that moves the head or the tail drops them.
+    recovered_wal: Option<Vec<u8>>,
 }
 
 fn role_of(kind: SnapshotKind) -> SlotRole {
@@ -95,222 +90,209 @@ fn role_of(kind: SnapshotKind) -> SlotRole {
     }
 }
 
-/// Bounded re-drives of a transiently failed page write — the completion
-/// handler's requeue. Mirrors the kernel path's block-layer retry bound.
-const WRITE_RETRIES: usize = 64;
+fn pid_of(pids: PidSet, kind: SnapshotKind) -> Pid {
+    match kind {
+        SnapshotKind::WalSnapshot => pids.wal_snapshot,
+        SnapshotKind::OnDemand => pids.on_demand,
+    }
+}
 
-/// In-flight page writes kept for retry while a fault plan is armed,
-/// keyed by SQE user_data. Never populated on the unarmed path.
-type Inflight = HashMap<u64, (PageWrite, Pid)>;
-
-/// Handles one CQE: success clears any retry bookkeeping; an injected
-/// transient failure of a tracked write is re-driven synchronously on the
-/// device (bounded); every other error surfaces.
-fn absorb_cqe(
-    device: &Arc<Mutex<NvmeDevice>>,
-    inflight: &mut Inflight,
-    cqe: Cqe,
-) -> Result<SimTime, BackendError> {
-    if let CqeResult::Error(e) = &cqe.result {
-        if *e == DeviceError::Injected {
-            if let Some((pw, pid)) = inflight.remove(&cqe.user_data) {
+/// Handles one CQE. A write the device failed transiently comes back in
+/// its CQE and is re-driven synchronously on the device (bounded); every
+/// other error surfaces.
+fn absorb_cqe(device: &Mutex<NvmeDevice>, cqe: Cqe) -> Result<SimTime, BackendError> {
+    match cqe.result {
+        CqeResult::Error(e) => Err(BackendError::Device(e)),
+        CqeResult::Requeue(op) => {
+            if let SqeOp::Write {
+                lba,
+                blocks,
+                pid,
+                data,
+            } = *op
+            {
                 let mut dev = device.lock().unwrap();
                 for _ in 0..WRITE_RETRIES {
-                    match dev.write(pw.lba, 1, pid, Some(&pw.data), cqe.completed_at) {
+                    match dev.write(lba, blocks, pid, data.as_deref(), cqe.completed_at) {
                         Ok(c) => return Ok(c.done_at),
                         Err(DeviceError::Injected) => continue,
                         Err(e) => return Err(BackendError::Device(e)),
                     }
                 }
-                return Err(BackendError::Device(DeviceError::Injected));
             }
+            Err(BackendError::Device(DeviceError::Injected))
         }
-        return Err(BackendError::Device(e.clone()));
+        _ => Ok(cqe.completed_at),
     }
-    if !inflight.is_empty() {
-        inflight.remove(&cqe.user_data);
+}
+
+/// The backend's one device reader. Fetches `pages` pages starting at
+/// page `first` of the circular region `(lba, lbas)` into `buf`,
+/// [`READ_BATCH`] pages per command, each command clamped at the region's
+/// wrap. After every batch `more(buf)` says whether to go on, so the WAL
+/// scan stops at the durable head instead of the region's end. Returns
+/// the last completion time; a device without a data plane leaves `buf`
+/// untouched.
+fn read_pages(
+    device: &Mutex<NvmeDevice>,
+    (lba, lbas): (u64, u64),
+    first: u64,
+    pages: u64,
+    now: SimTime,
+    buf: &mut Vec<u8>,
+    mut more: impl FnMut(&[u8]) -> bool,
+) -> Result<SimTime, DeviceError> {
+    let (mut p, end, mut t) = (first, first + pages, now);
+    while p < end {
+        let at = p % lbas;
+        let run = READ_BATCH.min(end - p).min(lbas - at);
+        let (c, data) = device.lock().unwrap().read(lba + at, run, t)?;
+        t = t.max(c.done_at);
+        p += run;
+        let Some(data) = data else { break };
+        buf.extend_from_slice(&data);
+        if !more(buf) {
+            break;
+        }
     }
-    Ok(cqe.completed_at)
+    Ok(t)
+}
+
+/// Reads the log from `tail`'s page on and finds the durable head:
+/// records are accepted while they parse, their CRCs hold and their
+/// sequence numbers strictly increase — a torn tail, deallocated zeroes
+/// and a previous lap's stale data all end the scan. Returns the bytes
+/// from the tail's page floor up to the head, and the completion time.
+fn scan_wal(
+    device: &Mutex<NvmeDevice>,
+    layout: &Layout,
+    tail: u64,
+    now: SimTime,
+) -> Result<(Vec<u8>, SimTime), DeviceError> {
+    let skip = (tail % PAGE) as usize;
+    // The log never fills its region: one page stays slack (`WalLog::append`).
+    let max_live = (layout.wal_bytes() - PAGE) as usize;
+    let pages = (skip + max_live).div_ceil(LBA_BYTES) as u64;
+    let region = (layout.wal_lba, layout.wal_lbas);
+    let (mut live, mut last_seq) = (0usize, None);
+    let mut buf = Vec::new();
+    let scan = |buf: &[u8]| loop {
+        let rest = &buf[skip + live..];
+        match walcodec::decode_ref(rest) {
+            Ok((rec, used)) if last_seq.is_none_or(|s| rec.seq > s) => {
+                last_seq = Some(rec.seq);
+                live += used;
+            }
+            // The record continues in pages not read yet — unless the
+            // length it declares cannot fit in what is left of the region.
+            Err(WalDecodeError::Truncated) => {
+                return rest
+                    .first_chunk()
+                    .is_none_or(|len| live + 4 + u32::from_le_bytes(*len) as usize <= max_live);
+            }
+            _ => return false,
+        }
+    };
+    let t = read_pages(device, region, tail / PAGE, pages, now, &mut buf, scan)?;
+    buf.resize(skip + live, 0);
+    Ok((buf, t))
 }
 
 impl PassthruBackend {
-    /// Creates a backend over a fresh device.
-    pub fn new(device: Arc<Mutex<NvmeDevice>>, clock: SharedClock, cfg: PassthruConfig) -> Self {
+    /// Creates a backend over a fresh device, taking the whole LBA space.
+    pub fn new(device: Arc<Mutex<NvmeDevice>>, clock: SharedClock) -> Self {
         let capacity = device.lock().unwrap().capacity_blocks();
-        let layout = Layout::partition(capacity, cfg.wal_frac);
-        // Format: creating a *new* SlimIO instance takes ownership of the
-        // LBA space and deallocates it wholesale (use
-        // [`PassthruBackend::recover`] to adopt existing state instead).
-        device
-            .lock()
-            .unwrap()
-            .deallocate(0, capacity, SimTime::ZERO)
-            .expect("format LBA space");
-        Self::build(device, clock, cfg, layout, pids::PidSet::for_shard(0))
+        let layout = Layout::default_for(capacity);
+        Self::new_at(device, clock, layout, PidSet::for_shard(0))
     }
 
     /// Creates a backend over a caller-chosen LBA sub-range of a fresh
     /// device, tagging its streams with `pids`. One sharded server runs N
     /// of these over one device; each formats (deallocates) only its own
-    /// slice. The caller is responsible for handing out disjoint layouts.
+    /// slice — use [`PassthruBackend::recover_at`] to adopt existing state
+    /// instead. The caller is responsible for handing out disjoint layouts.
     pub fn new_at(
         device: Arc<Mutex<NvmeDevice>>,
         clock: SharedClock,
-        cfg: PassthruConfig,
         layout: Layout,
-        pids: pids::PidSet,
+        pids: PidSet,
     ) -> Self {
+        let blocks = layout.end_lba() - layout.meta_lba;
         device
             .lock()
             .unwrap()
-            .deallocate(
-                layout.meta_lba,
-                layout.end_lba() - layout.meta_lba,
-                SimTime::ZERO,
-            )
-            .expect("format shard LBA range");
-        Self::build(device, clock, cfg, layout, pids)
+            .deallocate(layout.meta_lba, blocks, SimTime::ZERO)
+            .expect("format LBA range");
+        let wal = WalLog::new(layout.wal_lba, layout.wal_lbas);
+        Self::build(device, clock, layout, pids, wal, SlotTable::default(), 0)
     }
 
     fn build(
         device: Arc<Mutex<NvmeDevice>>,
         clock: SharedClock,
-        cfg: PassthruConfig,
         layout: Layout,
-        pids: pids::PidSet,
+        pids: PidSet,
+        wal: WalLog,
+        slots: SlotTable,
+        epoch: u64,
     ) -> Self {
-        let wal_ring = IoUring::new_enter(Arc::clone(&device), clock.clone(), cfg.ring_depth);
-        let snap_ring = if cfg.sqpoll_snapshot {
-            IoUring::new_sqpoll(Arc::clone(&device), clock.clone(), cfg.ring_depth)
-        } else {
-            IoUring::new_enter(Arc::clone(&device), clock.clone(), cfg.ring_depth)
-        };
         PassthruBackend {
-            wal: WalLog::new(layout.wal_lba, layout.wal_lbas),
+            wal_ring: IoUring::new_enter(Arc::clone(&device), clock.clone(), RING_DEPTH),
+            snap_ring: IoUring::new_sqpoll(Arc::clone(&device), clock.clone(), RING_DEPTH),
             device,
             clock,
-            cfg,
+            costs: PassthruCosts::default(),
             layout,
             pids,
-            wal_ring,
-            snap_ring,
-            slots: SlotTable::default(),
-            epoch: 0,
-            next_ud: 0,
+            wal,
+            slots,
+            epoch,
             snap: None,
-            inflight: Inflight::new(),
-            track_faults: false,
+            recovered_wal: None,
         }
     }
 
     /// Rebuilds a backend from a device that already holds SlimIO state —
-    /// the §4.2 recovery procedure, step 1: read the metadata region,
-    /// derive the slot roles and WAL boundaries, then scan the WAL region
-    /// forward from the tail to find the durable head.
+    /// the §4.2 recovery procedure over the whole LBA space.
     pub fn recover(
         device: Arc<Mutex<NvmeDevice>>,
         clock: SharedClock,
-        cfg: PassthruConfig,
     ) -> Result<Self, BackendError> {
         let capacity = device.lock().unwrap().capacity_blocks();
-        let layout = Layout::partition(capacity, cfg.wal_frac);
-        Self::recover_at(device, clock, cfg, layout, pids::PidSet::for_shard(0))
+        let layout = Layout::default_for(capacity);
+        Self::recover_at(device, clock, layout, PidSet::for_shard(0))
     }
 
     /// [`PassthruBackend::recover`] over a caller-chosen LBA sub-range —
     /// the shard-recovery entry point. `layout` must match the one the
-    /// shard was created with.
+    /// shard was created with. Reads the metadata region for the slot
+    /// roles and the WAL tail, then scans the WAL region forward from the
+    /// tail to the durable head — once: the scanned bytes are kept for the
+    /// engine's replay.
     pub fn recover_at(
         device: Arc<Mutex<NvmeDevice>>,
         clock: SharedClock,
-        cfg: PassthruConfig,
         layout: Layout,
-        pids: pids::PidSet,
+        pids: PidSet,
     ) -> Result<Self, BackendError> {
-        // Step 1: metadata.
-        let (_, page_a) = device
-            .lock()
-            .unwrap()
-            .read(layout.meta_lba, 1, SimTime::ZERO)?;
-        let (_, page_b) = device
-            .lock()
-            .unwrap()
-            .read(layout.meta_lba + 1, 1, SimTime::ZERO)?;
-        let meta = match (page_a, page_b) {
-            (Some(a), Some(b)) => pick_newest(&a, &b).unwrap_or_default(),
-            _ => MetaRecord::default(),
-        };
-        let slots = SlotTable::from_meta(meta.roles, meta.slot_len);
-
-        // Step 3 precompute: scan the WAL region from the tail, accepting
-        // records while they parse and their sequence numbers increase —
-        // stale previous-lap data and deallocated zeroes both terminate
-        // the scan.
+        let (region, t0, mut pages) = ((layout.meta_lba, META_LBAS), SimTime::ZERO, Vec::new());
+        read_pages(&device, region, 0, META_LBAS, t0, &mut pages, |_| true)?;
+        let meta = pages
+            .split_at_checked(LBA_BYTES)
+            .and_then(|(a, b)| pick_newest(a, b))
+            .unwrap_or_default();
         let tail = meta.wal_tail;
-        let page = LBA_BYTES as u64;
-        let mut buf: Vec<u8> = Vec::new();
-        let mut consumed = 0usize;
-        let mut last_seq: Option<u64> = None;
-        let skip = (tail % page) as usize;
-        let mut next_off = tail - tail % page;
-        let region_end = tail + layout.wal_bytes() - page; // one page slack
-        'scan: while next_off < region_end {
-            let lba = layout.wal_lba + (next_off / page) % layout.wal_lbas;
-            let batch = 64u64.min((region_end - next_off) / page).max(1);
-            // Clamp the batch to the contiguous run before the wrap.
-            let run = (layout.wal_lbas - (lba - layout.wal_lba)).min(batch);
-            let (_, data) = device.lock().unwrap().read(lba, run, SimTime::ZERO)?;
-            let Some(d) = data else {
-                break; // timing-only device: nothing to scan
-            };
-            buf.extend_from_slice(&d);
-            next_off += run * page;
-            // Parse as far as possible.
-            loop {
-                let avail = &buf[skip..];
-                match walcodec::decode(&avail[consumed..]) {
-                    Ok((rec, used)) => {
-                        if last_seq.is_some_and(|s| rec.seq() <= s) {
-                            break 'scan; // stale lap data
-                        }
-                        last_seq = Some(rec.seq());
-                        consumed += used;
-                    }
-                    Err(walcodec::WalDecodeError::Truncated) => break, // need more pages
-                    Err(_) => break 'scan,                             // torn tail or garbage
-                }
-            }
-        }
-        let head = tail + consumed as u64;
-        // The staged partial page spans [head_floor, head); the scan buffer
-        // starts at the tail's page floor, which is never later.
-        let buf_base = tail - tail % page;
-        let partial_start = (head - head % page) - buf_base;
-        let partial = buf[partial_start as usize..skip + consumed].to_vec();
+        let (mut log, _) = scan_wal(&device, &layout, tail, t0)?;
+        // `log` starts at the tail's page floor, which is never later than
+        // the head's: its last `head % PAGE` bytes are the staged partial page.
+        let head = tail - tail % PAGE + log.len() as u64;
+        let partial = log[log.len() - (head % PAGE) as usize..].to_vec();
         let wal = WalLog::restore(layout.wal_lba, layout.wal_lbas, tail, head, partial);
-
-        let wal_ring = IoUring::new_enter(Arc::clone(&device), clock.clone(), cfg.ring_depth);
-        let snap_ring = if cfg.sqpoll_snapshot {
-            IoUring::new_sqpoll(Arc::clone(&device), clock.clone(), cfg.ring_depth)
-        } else {
-            IoUring::new_enter(Arc::clone(&device), clock.clone(), cfg.ring_depth)
-        };
-        Ok(PassthruBackend {
-            device,
-            clock,
-            cfg,
-            layout,
-            pids,
-            wal_ring,
-            snap_ring,
-            wal,
-            slots,
-            epoch: meta.epoch,
-            next_ud: 0,
-            snap: None,
-            inflight: Inflight::new(),
-            track_faults: false,
-        })
+        let slots = SlotTable::from_meta(meta.roles, meta.slot_len);
+        let mut backend = Self::build(device, clock, layout, pids, wal, slots, meta.epoch);
+        log.drain(..(tail % PAGE) as usize);
+        backend.recovered_wal = Some(log);
+        Ok(backend)
     }
 
     /// The LBA layout in use.
@@ -319,15 +301,8 @@ impl PassthruBackend {
     }
 
     /// The placement-stream PIDs this backend writes with.
-    pub fn pids(&self) -> pids::PidSet {
+    pub fn pids(&self) -> PidSet {
         self.pids
-    }
-
-    fn pid_of(&self, kind: SnapshotKind) -> Pid {
-        match kind {
-            SnapshotKind::WalSnapshot => self.pids.wal_snapshot,
-            SnapshotKind::OnDemand => self.pids.on_demand,
-        }
     }
 
     /// The device handle.
@@ -345,128 +320,73 @@ impl PassthruBackend {
         &self.slots
     }
 
-    fn ud(&mut self) -> u64 {
-        self.next_ud += 1;
-        self.next_ud
-    }
-
-    /// Refreshes `track_faults` from the device; called at each backend
-    /// entry point that writes, before any submissions.
-    fn refresh_fault_tracking(&mut self) {
-        self.track_faults = self.device.lock().unwrap().fault_armed();
-    }
-
-    /// Submits to a ring, draining it on backpressure.
+    /// Submits one operation to a ring, draining it on backpressure.
     fn submit(
         ring: &mut IoUring,
-        device: &Arc<Mutex<NvmeDevice>>,
-        inflight: &mut Inflight,
-        mut sqe: Sqe,
+        device: &Mutex<NvmeDevice>,
+        op: SqeOp,
+        now: SimTime,
     ) -> Result<(), BackendError> {
+        // No cookie: a completion carries all a re-drive needs.
+        let mut sqe = Sqe {
+            user_data: 0,
+            op,
+            submitted_at: now,
+        };
         loop {
             match ring.submit(sqe) {
                 Ok(()) => return Ok(()),
                 Err(RingError::SqFull(back)) => {
                     sqe = *back;
                     ring.enter();
-                    while let Some(cqe) = ring.reap() {
-                        absorb_cqe(device, inflight, cqe)?;
-                    }
+                    Self::reap(ring, device)?;
                     std::thread::yield_now();
                 }
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn submit_page(
+    /// The one write path — WAL pages, the sync page, the metadata page
+    /// and snapshot pages all go through it. Contiguous-LBA runs coalesce
+    /// into one multi-block SQE each (the `writev` shape), so a
+    /// group-committed batch or a snapshot chunk reaches the device as a
+    /// handful of commands instead of one per page. Fault plans count
+    /// these commands: what the crash matrix enumerates is what ships.
+    fn submit_writes(
         ring: &mut IoUring,
-        device: &Arc<Mutex<NvmeDevice>>,
-        inflight: &mut Inflight,
-        track: bool,
-        ud: u64,
-        pw: PageWrite,
-        pid: Pid,
-        now: SimTime,
-    ) -> Result<(), BackendError> {
-        if track {
-            inflight.insert(ud, (pw.clone(), pid));
-        }
-        Self::submit(
-            ring,
-            device,
-            inflight,
-            Sqe {
-                user_data: ud,
-                op: SqeOp::Write {
-                    lba: pw.lba,
-                    blocks: 1,
-                    pid,
-                    data: Some(pw.data),
-                },
-                submitted_at: now,
-            },
-        )
-    }
-
-    /// Submits a run of page writes as vectored SQEs: contiguous-LBA runs
-    /// coalesce into one multi-block SQE each (the `writev` shape), so a
-    /// group-committed batch reaches the device as a handful of commands
-    /// instead of one per page. Used only while no fault plan is armed:
-    /// the retry bookkeeping in [`absorb_cqe`] re-drives single-block
-    /// writes, and fault plans count device write commands, so the armed
-    /// path must keep its one-SQE-per-page shape.
-    fn submit_pages_vectored(
-        ring: &mut IoUring,
-        device: &Arc<Mutex<NvmeDevice>>,
-        inflight: &mut Inflight,
-        next_ud: &mut u64,
+        device: &Mutex<NvmeDevice>,
         mut pages: Vec<PageWrite>,
         pid: Pid,
         now: SimTime,
     ) -> Result<(), BackendError> {
-        /// Longest run folded into one SQE (bounds the gather copy).
-        const MAX_RUN: usize = 64;
-        let mut i = 0;
-        while i < pages.len() {
-            let mut run = 1;
-            while i + run < pages.len()
-                && run < MAX_RUN
-                && pages[i + run].lba == pages[i].lba + run as u64
-            {
-                run += 1;
-            }
-            *next_ud += 1;
-            let ud = *next_ud;
-            let sqe = if run == 1 {
-                Sqe {
-                    user_data: ud,
-                    op: SqeOp::Write {
-                        lba: pages[i].lba,
-                        blocks: 1,
-                        pid,
-                        data: Some(std::mem::take(&mut pages[i].data)),
-                    },
-                    submitted_at: now,
-                }
+        let runs = pages
+            .chunk_by_mut(|a, b| b.lba == a.lba + 1)
+            .flat_map(|run| run.chunks_mut(MAX_RUN));
+        for run in runs {
+            let data = if let [page] = run {
+                std::mem::take(&mut page.data)
             } else {
-                let mut data = Vec::with_capacity(run * LBA_BYTES);
-                for pw in &pages[i..i + run] {
-                    data.extend_from_slice(&pw.data);
+                let mut gather = Vec::with_capacity(run.len() * LBA_BYTES);
+                for page in run.iter() {
+                    gather.extend_from_slice(&page.data);
                 }
-                Sqe {
-                    user_data: ud,
-                    op: SqeOp::Write {
-                        lba: pages[i].lba,
-                        blocks: run as u64,
-                        pid,
-                        data: Some(data.into_boxed_slice()),
-                    },
-                    submitted_at: now,
-                }
+                gather.into_boxed_slice()
             };
-            Self::submit(ring, device, inflight, sqe)?;
-            i += run;
+            let op = SqeOp::Write {
+                lba: run[0].lba,
+                blocks: run.len() as u64,
+                pid,
+                data: Some(data),
+            };
+            Self::submit(ring, device, op, now)?;
+        }
+        Ok(())
+    }
+
+    /// Opportunistic reap, so completions don't pile up.
+    fn reap(ring: &mut IoUring, device: &Mutex<NvmeDevice>) -> Result<(), BackendError> {
+        while let Some(cqe) = ring.reap() {
+            absorb_cqe(device, cqe)?;
         }
         Ok(())
     }
@@ -475,113 +395,59 @@ impl PassthruBackend {
     /// the latest completion time.
     fn drain(
         ring: &mut IoUring,
-        device: &Arc<Mutex<NvmeDevice>>,
-        inflight: &mut Inflight,
+        device: &Mutex<NvmeDevice>,
         now: SimTime,
     ) -> Result<SimTime, BackendError> {
         let mut t = now;
         for cqe in ring.wait_all() {
-            t = t.max(absorb_cqe(device, inflight, cqe)?);
+            t = t.max(absorb_cqe(device, cqe)?);
         }
         Ok(t)
     }
 
     /// Writes and flushes a metadata record; returns its completion time.
     fn commit_meta(&mut self, record: &MetaRecord, now: SimTime) -> Result<SimTime, BackendError> {
-        let page = record.encode();
-        let ud = self.ud();
-        Self::submit_page(
-            &mut self.wal_ring,
-            &self.device,
-            &mut self.inflight,
-            self.track_faults,
-            ud,
-            PageWrite {
-                lba: self.layout.meta_lba + record.target_lba(),
-                data: page.into_boxed_slice(),
-            },
-            self.pids.meta,
-            now,
-        )?;
-        let ud = self.ud();
-        Self::submit(
-            &mut self.wal_ring,
-            &self.device,
-            &mut self.inflight,
-            Sqe {
-                user_data: ud,
-                op: SqeOp::Flush,
-                submitted_at: now,
-            },
-        )?;
-        Self::drain(&mut self.wal_ring, &self.device, &mut self.inflight, now)
+        let page = PageWrite {
+            lba: self.layout.meta_lba + record.target_lba(),
+            data: record.encode().into_boxed_slice(),
+        };
+        let (ring, device) = (&mut self.wal_ring, &self.device);
+        Self::submit_writes(ring, device, vec![page], self.pids.meta, now)?;
+        Self::submit(ring, device, SqeOp::Flush, now)?;
+        Self::drain(ring, device, now)
     }
 
     fn deallocate(&mut self, ranges: &[(u64, u64)], now: SimTime) -> Result<SimTime, BackendError> {
-        for &(lba, blocks) in ranges {
-            if blocks == 0 {
-                continue;
-            }
-            let ud = self.ud();
-            Self::submit(
-                &mut self.wal_ring,
-                &self.device,
-                &mut self.inflight,
-                Sqe {
-                    user_data: ud,
-                    op: SqeOp::Deallocate { lba, blocks },
-                    submitted_at: now,
-                },
-            )?;
+        let (ring, device) = (&mut self.wal_ring, &self.device);
+        for &(lba, blocks) in ranges.iter().filter(|r| r.1 > 0) {
+            Self::submit(ring, device, SqeOp::Deallocate { lba, blocks }, now)?;
         }
-        Self::drain(&mut self.wal_ring, &self.device, &mut self.inflight, now)
+        Self::drain(ring, device, now)
     }
 }
 
 impl PersistBackend for PassthruBackend {
     fn wal_append(&mut self, data: &[u8], now: SimTime) -> Result<IoTiming, BackendError> {
         self.clock.advance_to(now);
-        self.refresh_fault_tracking();
+        self.recovered_wal = None;
         let pages = self
             .wal
             .append(data)
             .map_err(|e| BackendError::Snapshot(e.to_string()))?;
         let n = pages.len() as u64;
-        if self.track_faults {
-            for pw in pages {
-                let ud = self.ud();
-                Self::submit_page(
-                    &mut self.wal_ring,
-                    &self.device,
-                    &mut self.inflight,
-                    self.track_faults,
-                    ud,
-                    pw,
-                    self.pids.wal,
-                    now,
-                )?;
-            }
-        } else {
-            Self::submit_pages_vectored(
-                &mut self.wal_ring,
-                &self.device,
-                &mut self.inflight,
-                &mut self.next_ud,
-                pages,
-                self.pids.wal,
-                now,
-            )?;
-        }
-        // Submission-side cost only: the dedicated completion handler (the
-        // paper's CQ thread) reaps off the hot path. Charged per page even
-        // when runs coalesce into fewer SQEs, so simulated figures do not
-        // depend on batch geometry; the vectoring saves ring slots and
-        // device commands, which the live path measures directly.
-        let cpu = self.cfg.costs.submit_sqpoll(n.max(1));
-        // Opportunistic reap so completions don't pile up.
-        while let Some(cqe) = self.wal_ring.reap() {
-            absorb_cqe(&self.device, &mut self.inflight, cqe)?;
-        }
+        let (ring, device) = (&mut self.wal_ring, &self.device);
+        Self::submit_writes(ring, device, pages, self.pids.wal, now)?;
+        // The amortized `io_uring_enter`: every full page of this append is
+        // handed to the device before the call returns, so only the staged
+        // partial page waits for the next sync. The dedicated completion
+        // handler (the paper's CQ thread) is modeled by the reap.
+        ring.enter();
+        Self::reap(ring, device)?;
+        // Submission-side cost only, charged per page even when runs
+        // coalesce into fewer SQEs, so simulated figures do not depend on
+        // batch geometry; the vectoring saves ring slots and device
+        // commands, which the live path measures directly.
+        let cpu = self.costs.submit_sqpoll(n.max(1));
         Ok(IoTiming {
             done_at: now + cpu,
             cpu,
@@ -590,39 +456,13 @@ impl PersistBackend for PassthruBackend {
 
     fn wal_sync(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
         self.clock.advance_to(now);
-        self.refresh_fault_tracking();
-        if let Some(pw) = self.wal.sync_page() {
-            let ud = self.ud();
-            Self::submit_page(
-                &mut self.wal_ring,
-                &self.device,
-                &mut self.inflight,
-                self.track_faults,
-                ud,
-                pw,
-                self.pids.wal,
-                now,
-            )?;
-        }
-        let ud = self.ud();
-        Self::submit(
-            &mut self.wal_ring,
-            &self.device,
-            &mut self.inflight,
-            Sqe {
-                user_data: ud,
-                op: SqeOp::Flush,
-                submitted_at: now,
-            },
-        )?;
-        let cpu = self.cfg.costs.submit_enter(1) + self.cfg.costs.cqe_reap;
-        let done = Self::drain(
-            &mut self.wal_ring,
-            &self.device,
-            &mut self.inflight,
-            now + cpu,
-        )?;
-        Ok(IoTiming { done_at: done, cpu })
+        let page = self.wal.sync_page().into_iter().collect();
+        let (ring, device) = (&mut self.wal_ring, &self.device);
+        Self::submit_writes(ring, device, page, self.pids.wal, now)?;
+        Self::submit(ring, device, SqeOp::Flush, now)?;
+        let cpu = self.costs.submit_enter(1) + self.costs.cqe_reap;
+        let done_at = Self::drain(ring, device, now + cpu)?;
+        Ok(IoTiming { done_at, cpu })
     }
 
     fn wal_len(&self) -> u64 {
@@ -652,59 +492,36 @@ impl PersistBackend for PassthruBackend {
 
     fn snapshot_chunk(&mut self, data: &[u8], now: SimTime) -> Result<IoTiming, BackendError> {
         self.clock.advance_to(now);
-        self.refresh_fault_tracking();
-        let slot_lbas = self.layout.slot_lbas;
-        let slot_lba = {
-            let st = self
-                .snap
-                .as_ref()
-                .ok_or_else(|| BackendError::Snapshot("no snapshot in progress".into()))?;
-            self.layout.slot_lba(st.slot)
-        };
-        let pids = self.pids;
-        let st = self.snap.as_mut().unwrap();
+        let st = self
+            .snap
+            .as_mut()
+            .ok_or_else(|| BackendError::Snapshot("no snapshot in progress".into()))?;
         st.stream_bytes += data.len() as u64;
         st.staged.extend_from_slice(data);
-        let mut submitted = 0u64;
-        let mut to_submit = Vec::new();
-        while st.staged.len() >= LBA_BYTES {
-            if st.written_pages >= slot_lbas {
-                return Err(BackendError::Snapshot(format!(
-                    "snapshot exceeds slot capacity ({} LBAs)",
-                    slot_lbas
-                )));
-            }
-            let rest = st.staged.split_off(LBA_BYTES);
-            let page = std::mem::replace(&mut st.staged, rest);
-            to_submit.push(PageWrite {
-                lba: slot_lba + st.written_pages,
-                data: page.into_boxed_slice(),
-            });
-            st.written_pages += 1;
-            submitted += 1;
+        // Cut the staged bytes into whole pages; the remainder stays staged.
+        let full = st.staged.len() / LBA_BYTES;
+        if st.written_pages + full as u64 > self.layout.slot_lbas {
+            return Err(BackendError::Snapshot(format!(
+                "snapshot exceeds slot capacity ({} LBAs)",
+                self.layout.slot_lbas
+            )));
         }
-        let pid = match st.kind {
-            SnapshotKind::WalSnapshot => pids.wal_snapshot,
-            SnapshotKind::OnDemand => pids.on_demand,
-        };
-        for pw in to_submit {
-            let ud = self.ud();
-            Self::submit_page(
-                &mut self.snap_ring,
-                &self.device,
-                &mut self.inflight,
-                self.track_faults,
-                ud,
-                pw,
-                pid,
-                now,
-            )?;
-        }
+        let first_lba = self.layout.slot_lba(st.slot) + st.written_pages;
+        let pages = (first_lba..)
+            .zip(st.staged.chunks_exact(LBA_BYTES))
+            .map(|(lba, page)| PageWrite {
+                lba,
+                data: page.into(),
+            })
+            .collect();
+        st.staged.drain(..full * LBA_BYTES);
+        st.written_pages += full as u64;
+        let pid = pid_of(self.pids, st.kind);
+        let (ring, device) = (&mut self.snap_ring, &self.device);
+        Self::submit_writes(ring, device, pages, pid, now)?;
         // SQPOLL: pure ring pushes, no syscall.
-        let cpu = self.cfg.costs.submit_sqpoll(submitted.max(1));
-        while let Some(cqe) = self.snap_ring.reap() {
-            absorb_cqe(&self.device, &mut self.inflight, cqe)?;
-        }
+        let cpu = self.costs.submit_sqpoll((full as u64).max(1));
+        Self::reap(ring, device)?;
         Ok(IoTiming {
             done_at: now + cpu,
             cpu,
@@ -713,12 +530,11 @@ impl PersistBackend for PassthruBackend {
 
     fn snapshot_commit(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
         self.clock.advance_to(now);
-        self.refresh_fault_tracking();
         let mut st = self
             .snap
             .take()
             .ok_or_else(|| BackendError::Snapshot("no snapshot in progress".into()))?;
-        let slot_lba = self.layout.slot_lba(st.slot);
+        let (ring, device) = (&mut self.snap_ring, &self.device);
         // Final partial page, zero-padded.
         if !st.staged.is_empty() {
             if st.written_pages >= self.layout.slot_lbas {
@@ -726,43 +542,22 @@ impl PersistBackend for PassthruBackend {
                     "snapshot exceeds slot capacity".into(),
                 ));
             }
-            let mut page = std::mem::take(&mut st.staged);
-            page.resize(LBA_BYTES, 0);
-            let ud = self.ud();
-            let pid = self.pid_of(st.kind);
-            Self::submit_page(
-                &mut self.snap_ring,
-                &self.device,
-                &mut self.inflight,
-                self.track_faults,
-                ud,
-                PageWrite {
-                    lba: slot_lba + st.written_pages,
-                    data: page.into_boxed_slice(),
-                },
-                pid,
-                now,
-            )?;
-            st.written_pages += 1;
+            st.staged.resize(LBA_BYTES, 0);
+            let page = PageWrite {
+                lba: self.layout.slot_lba(st.slot) + st.written_pages,
+                data: st.staged.into_boxed_slice(),
+            };
+            Self::submit_writes(ring, device, vec![page], pid_of(self.pids, st.kind), now)?;
         }
         // 1. Snapshot data durable.
-        let ud = self.ud();
-        Self::submit(
-            &mut self.snap_ring,
-            &self.device,
-            &mut self.inflight,
-            Sqe {
-                user_data: ud,
-                op: SqeOp::Flush,
-                submitted_at: now,
-            },
-        )?;
-        let t_data = Self::drain(&mut self.snap_ring, &self.device, &mut self.inflight, now)?;
+        Self::submit(ring, device, SqeOp::Flush, now)?;
+        let t_data = Self::drain(ring, device, now)?;
 
         // 2. Promote the reserve slot; advance the WAL tail for
         //    WAL-snapshots; commit metadata atomically.
         let (_promoted, demoted) = self.slots.promote(role_of(st.kind), st.stream_bytes);
         let dead_wal = if st.kind == SnapshotKind::WalSnapshot {
+            self.recovered_wal = None;
             self.wal.truncate_to(st.fork_tail)
         } else {
             Vec::new()
@@ -781,7 +576,7 @@ impl PersistBackend for PassthruBackend {
         let mut ranges = dead_wal;
         ranges.push((self.layout.slot_lba(demoted), self.layout.slot_lbas));
         let t_done = self.deallocate(&ranges, t_meta)?;
-        let cpu = self.cfg.costs.submit_enter(2);
+        let cpu = self.costs.submit_enter(2);
         Ok(IoTiming {
             done_at: t_done,
             cpu,
@@ -791,7 +586,7 @@ impl PersistBackend for PassthruBackend {
     fn snapshot_abort(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
         if let Some(st) = self.snap.take() {
             // Drain in-flight writes, then discard the reserve slot pages.
-            let t = Self::drain(&mut self.snap_ring, &self.device, &mut self.inflight, now)?;
+            let t = Self::drain(&mut self.snap_ring, &self.device, now)?;
             let slot_lba = self.layout.slot_lba(st.slot);
             if st.written_pages > 0 {
                 self.deallocate(&[(slot_lba, st.written_pages)], t)?;
@@ -810,58 +605,32 @@ impl PersistBackend for PassthruBackend {
         if len == 0 {
             return Ok((None, IoTiming::instant(now)));
         }
-        let slot = self.slots.slot_of(role);
-        let reader = RecoveryReader::new(Arc::clone(&self.device));
-        let (data, done) = reader.read_stream(self.layout.slot_lba(slot), len, now)?;
+        let slot = self.layout.slot_lba(self.slots.slot_of(role));
+        let (region, pages) = ((slot, self.layout.slot_lbas), len.div_ceil(PAGE));
+        let mut data = Vec::with_capacity((pages * PAGE) as usize);
+        let done_at = read_pages(&self.device, region, 0, pages, now, &mut data, |_| true)?;
+        data.truncate(len as usize);
         // Batched passthru reads: one submission per batch, no per-page
         // syscalls.
-        let batches = len.div_ceil(reader.batch_pages * LBA_BYTES as u64).max(1);
-        let cpu = self.cfg.costs.submit_enter(batches);
-        Ok((data, IoTiming { done_at: done, cpu }))
+        let cpu = self.costs.submit_enter(pages.div_ceil(READ_BATCH));
+        let data = (!data.is_empty()).then_some(data);
+        Ok((data, IoTiming { done_at, cpu }))
     }
 
     fn load_wal(&mut self, now: SimTime) -> Result<(Vec<u8>, IoTiming), BackendError> {
         // Make sure every accepted append has executed.
-        let t0 = Self::drain(&mut self.wal_ring, &self.device, &mut self.inflight, now)?;
-        let page = LBA_BYTES as u64;
+        let t0 = Self::drain(&mut self.wal_ring, &self.device, now)?;
+        if let Some(log) = self.recovered_wal.take() {
+            return Ok((log, IoTiming::instant(t0)));
+        }
+        // A live backend reads its own log the way a restart would: the
+        // same scan, so what comes back is what the device holds.
         let tail = self.wal.tail();
-        let head = self.wal.head();
-        if head == tail {
-            return Ok((Vec::new(), IoTiming::instant(t0)));
-        }
-        let first_page = tail / page;
-        let end_page = head.div_ceil(page);
-        let mut bytes = Vec::with_capacity(((end_page - first_page) * page) as usize);
-        let mut t = t0;
-        let mut p = first_page;
-        while p < end_page {
-            let slot = p % self.layout.wal_lbas;
-            let run = (self.layout.wal_lbas - slot).min(end_page - p).min(128);
-            let (c, data) = self
-                .device
-                .lock()
-                .unwrap()
-                .read(self.layout.wal_lba + slot, run, t)?;
-            t = t.max(c.done_at);
-            match data {
-                Some(d) => bytes.extend_from_slice(&d),
-                None => return Ok((Vec::new(), IoTiming::instant(t))),
-            }
-            p += run;
-        }
-        let start = (tail % page) as usize;
-        let out = bytes[start..start + (head - tail) as usize].to_vec();
-        // The sync_page tail rewrite means unsynced staged bytes may not
-        // be on media yet; overlay the in-memory staged tail so a *live*
-        // backend returns its true log (a recovered backend has no staged
-        // bytes beyond what the scan found).
-        Ok((
-            out,
-            IoTiming {
-                done_at: t,
-                cpu: self.cfg.costs.submit_enter(1),
-            },
-        ))
+        let (mut log, done_at) = scan_wal(&self.device, &self.layout, tail, t0)?;
+        let batches = (log.len() as u64).div_ceil(READ_BATCH * PAGE).max(1);
+        log.drain(..(tail % PAGE) as usize);
+        let cpu = self.costs.submit_enter(batches);
+        Ok((log, IoTiming { done_at, cpu }))
     }
 }
 
@@ -878,11 +647,7 @@ mod tests {
     }
 
     fn backend(dev: &Arc<Mutex<NvmeDevice>>) -> PassthruBackend {
-        PassthruBackend::new(
-            Arc::clone(dev),
-            SharedClock::new(),
-            PassthruConfig::default(),
-        )
+        PassthruBackend::new(Arc::clone(dev), SharedClock::new())
     }
 
     fn wal_record(seq: u64, payload_len: usize) -> Vec<u8> {
@@ -933,22 +698,30 @@ mod tests {
         let (wal, _) = b.load_wal(SimTime::ZERO).unwrap();
         assert_eq!(wal, rec);
 
-        // Armed: the fault path keeps one command per page so plan
-        // offsets stay meaningful.
-        dev.lock()
-            .unwrap()
-            .arm_fault("fail@100000".parse().unwrap());
-        let rec2 = wal_record(2, 8 * LBA_BYTES);
-        let before = dev.lock().unwrap().write_commands();
-        b.wal_append(&rec2, SimTime::ZERO).unwrap();
-        b.wal_sync(SimTime::ZERO).unwrap();
-        let armed = dev.lock().unwrap().write_commands() - before;
-        // At least one command per full payload page (coalescing would
-        // have folded these into one or two).
-        assert!(
-            armed >= 8,
-            "armed path should stay per-page (saw {armed} commands)"
-        );
+        // Armed with a plan that never fires, the same workload issues the
+        // same commands: fault plans count what production submits.
+        let run = |arm: bool| {
+            let dev = device();
+            let mut b = backend(&dev);
+            if arm {
+                dev.lock()
+                    .unwrap()
+                    .arm_fault("fail@100000".parse().unwrap());
+            }
+            for seq in 1..=4u64 {
+                b.wal_append(&wal_record(seq, 3 * LBA_BYTES), SimTime::ZERO)
+                    .unwrap();
+                b.wal_sync(SimTime::ZERO).unwrap();
+            }
+            b.snapshot_begin(SnapshotKind::WalSnapshot, SimTime::ZERO)
+                .unwrap();
+            b.snapshot_chunk(&vec![7u8; 70 * LBA_BYTES + 9], SimTime::ZERO)
+                .unwrap();
+            b.snapshot_commit(SimTime::ZERO).unwrap();
+            let cmds = dev.lock().unwrap().write_commands();
+            cmds
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1027,12 +800,7 @@ mod tests {
             }
             b.wal_sync(SimTime::ZERO).unwrap();
         } // drop = crash (rings drained on drop; device retains NAND state)
-        let mut r = PassthruBackend::recover(
-            Arc::clone(&dev),
-            SharedClock::new(),
-            PassthruConfig::default(),
-        )
-        .unwrap();
+        let mut r = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
         let (snap, _) = r
             .load_snapshot(SnapshotKind::WalSnapshot, SimTime::ZERO)
             .unwrap();
@@ -1054,12 +822,7 @@ mod tests {
             // Unsynced: staged partial page never hits the device.
             b.wal_append(&wal_record(2, 50), SimTime::ZERO).unwrap();
         }
-        let mut r = PassthruBackend::recover(
-            Arc::clone(&dev),
-            SharedClock::new(),
-            PassthruConfig::default(),
-        )
-        .unwrap();
+        let mut r = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
         let (wal, _) = r.load_wal(SimTime::ZERO).unwrap();
         let recs = walcodec::replay(&wal);
         assert_eq!(recs.len(), 1);
@@ -1084,12 +847,7 @@ mod tests {
                 .unwrap();
             // No commit — power cut here.
         }
-        let mut r = PassthruBackend::recover(
-            Arc::clone(&dev),
-            SharedClock::new(),
-            PassthruConfig::default(),
-        )
-        .unwrap();
+        let mut r = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
         let (snap, _) = r
             .load_snapshot(SnapshotKind::OnDemand, SimTime::ZERO)
             .unwrap();
@@ -1137,12 +895,7 @@ mod tests {
             );
         }
         dev.lock().unwrap().power_on();
-        let mut r = PassthruBackend::recover(
-            Arc::clone(&dev),
-            SharedClock::new(),
-            PassthruConfig::default(),
-        )
-        .unwrap();
+        let mut r = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
         let (wal, _) = r.load_wal(SimTime::ZERO).unwrap();
         let recs = walcodec::replay(&wal);
         assert_eq!(recs.len(), 1);
@@ -1191,5 +944,44 @@ mod tests {
             }
         }
         assert!(overflowed);
+    }
+
+    #[test]
+    fn restart_reads_a_wrapped_log_once() {
+        use slimio_imdb::{Db, DbConfig};
+        let dev = device();
+        let cfg = DbConfig::default();
+        let mut db = Db::new(backend(&dev), cfg);
+        let region = db.backend().layout().wal_bytes();
+        // Two generations of 0.6 regions each over a handful of keys: the
+        // WAL-snapshot between them moves the tail, the second one runs
+        // the head past the region's end.
+        let fill = |db: &mut Db<PassthruBackend>| {
+            let until = db.stats().wal_bytes + region * 6 / 10;
+            while db.stats().wal_bytes < until {
+                let key = [b'k', (db.stats().sets % 8) as u8];
+                db.set(&key, &[0x5A; 3000], SimTime::ZERO).unwrap();
+                db.flush_wal(SimTime::ZERO).unwrap();
+            }
+            db.sync_wal(SimTime::ZERO).unwrap();
+        };
+        fill(&mut db);
+        db.snapshot_run(SnapshotKind::WalSnapshot, SimTime::ZERO)
+            .unwrap();
+        fill(&mut db);
+        assert!(db.stats().wal_bytes > region, "the log must wrap");
+        let (seq, live) = (db.seq(), db.backend().wal_len());
+        let snapshot = db.backend().slot_table().len_of(SlotRole::WalSnapshot);
+        drop(db); // crash
+
+        let reads = || dev.lock().unwrap().telemetry().reads;
+        let before = reads();
+        let r = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+        assert_eq!(r.wal_len(), live, "the scan must cross the wrap");
+        let (db, _) = Db::recover(r, cfg, SimTime::ZERO).unwrap();
+        assert_eq!((db.seq(), db.len()), (seq, 8));
+        let budget = 2 + snapshot.div_ceil(PAGE) + live.div_ceil(PAGE) + 1 + READ_BATCH;
+        let read = reads() - before;
+        assert!(read <= budget, "restart read {read} pages, budget {budget}");
     }
 }

@@ -20,6 +20,12 @@ use slimio_nvme::LBA_BYTES;
 /// [`crate::metadata::pick_newest`]).
 pub const META_LBAS: u64 = 2;
 
+/// Fraction of a device (or shard slice) given to the WAL region: 40 %
+/// WAL, 3 × 20 % slots. The paper's workloads rotate the WAL at 50–55 GB
+/// on a 180 GB device, and each snapshot is ~20 GB, so slots comfortably
+/// hold one snapshot each.
+pub const WAL_FRAC: f64 = 0.40;
+
 /// The static partition of the device's logical space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Layout {
@@ -73,11 +79,9 @@ impl Layout {
         }
     }
 
-    /// Default split: 40 % WAL region, 3 × 20 % slots. The paper's
-    /// workloads rotate the WAL at 50–55 GB on a 180 GB device, and each
-    /// snapshot is ~20 GB, so slots comfortably hold one snapshot each.
+    /// The default [`WAL_FRAC`] split of a whole device.
     pub fn default_for(capacity_lbas: u64) -> Layout {
-        Layout::partition(capacity_lbas, 0.40)
+        Layout::partition(capacity_lbas, WAL_FRAC)
     }
 
     /// First LBA of slot `i` (0..3).

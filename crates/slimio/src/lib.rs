@@ -27,9 +27,11 @@
 //!   loads the newest valid record ([`metadata::pick_newest`]), so
 //!   a crash at *any* point leaves either the old or the new state fully
 //!   intact — never a mix.
-//! * **Recovery** (§4.2, Table 5): [`readahead::RecoveryReader`] streams a
-//!   committed snapshot with large batched passthru reads (the read-ahead
-//!   buffer that beats the baseline's page-cache path).
+//! * **Recovery** (§4.2, Table 5): [`PassthruBackend::recover_at`] reads
+//!   the metadata pages, then scans the WAL region once from the tail to
+//!   the durable head with large batched passthru reads (no per-`read()`
+//!   syscall, no page cache); the scanned bytes feed the engine's replay,
+//!   and the committed snapshot streams back through the same reader.
 //! * **FDP placement** (§4.3): every write carries its stream's PID
 //!   ([`pids`]), so WAL generations, WAL-snapshots, and on-demand
 //!   snapshots occupy disjoint Reclaim Units and deallocations free whole
@@ -40,11 +42,10 @@
 pub mod backend;
 pub mod layout;
 pub mod metadata;
-pub mod readahead;
 pub mod slots;
 pub mod wal_log;
 
-pub use backend::{PassthruBackend, PassthruConfig};
+pub use backend::PassthruBackend;
 pub use layout::Layout;
 pub use slimio_imdb::backend::PersistBackend;
 

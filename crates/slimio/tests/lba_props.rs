@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use slimio::wal_log::WalLog;
-use slimio::{PassthruBackend, PassthruConfig};
+use slimio::PassthruBackend;
 use slimio_des::{SimTime, Xoshiro256};
 use slimio_ftl::PlacementMode;
 use slimio_imdb::backend::{PersistBackend, SnapshotKind};
@@ -65,11 +65,7 @@ fn random_script_crash_recovers_consistently() {
         let dev = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
             PlacementMode::Fdp { max_pids: 8 },
         ))));
-        let mut backend = PassthruBackend::new(
-            Arc::clone(&dev),
-            SharedClock::new(),
-            PassthruConfig::default(),
-        );
+        let mut backend = PassthruBackend::new(Arc::clone(&dev), SharedClock::new());
         let t = SimTime::ZERO;
         let mut seq = 0u64;
         let mut synced: Vec<u64> = Vec::new();
@@ -141,12 +137,7 @@ fn random_script_crash_recovers_consistently() {
         }
         drop(backend); // crash
 
-        let mut rec = PassthruBackend::recover(
-            Arc::clone(&dev),
-            SharedClock::new(),
-            PassthruConfig::default(),
-        )
-        .unwrap();
+        let mut rec = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
 
         // Committed snapshots are intact. (A zero-length commit is
         // indistinguishable from "no snapshot" — the engine never produces

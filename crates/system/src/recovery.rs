@@ -5,7 +5,7 @@
 //! read a chunk (blocking on the path), then rebuild dict entries
 //! (CPU). The baseline pays a `read()` syscall per chunk and rides the
 //! page-cache readahead; SlimIO streams the slot through large batched
-//! passthru reads (`slimio::readahead`). The paper measures 55.4 s /
+//! passthru reads (as `PassthruBackend::load_snapshot` does). The paper measures 55.4 s /
 //! 374.8 MB/s (baseline) vs 44.1 s / 471.1 MB/s (SlimIO) for ~20 GB.
 
 use std::sync::Arc;
@@ -127,8 +127,7 @@ fn passthru_recovery(
     }
     let costs = LoaderCosts::default();
     let ring = PassthruCosts::default();
-    let batch_pages = 128u64;
-    let batch_bytes = batch_pages * LBA_BYTES as u64;
+    let batch_bytes = 128 * LBA_BYTES as u64; // the backend's read batch
     let entries_per_batch = entries as f64 * batch_bytes as f64 / stream_bytes as f64;
     // Streaming pipeline (§5.3 read-ahead buffer): passthru reads are
     // issued back-to-back so the device stays saturated, while the loader

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use slimio_nvme::NvmeDevice;
+use slimio_nvme::{DeviceError, NvmeDevice};
 use std::sync::Mutex;
 
 use crate::clock::SharedClock;
@@ -84,6 +84,15 @@ fn execute(device: &Mutex<NvmeDevice>, clock: &SharedClock, sqe: Sqe) -> Cqe {
                     gc_copied: c.gc_copied,
                 },
             ),
+            Err(DeviceError::Injected) => {
+                let op = SqeOp::Write {
+                    lba,
+                    blocks,
+                    pid,
+                    data,
+                };
+                (now, CqeResult::Requeue(Box::new(op)))
+            }
             Err(e) => (now, CqeResult::Error(e)),
         },
         SqeOp::Read { lba, blocks } => match dev.read(lba, blocks, now) {
@@ -362,6 +371,26 @@ mod tests {
         let cqes = ring.wait_all();
         assert_eq!(cqes.len(), 1);
         assert!(!cqes[0].is_ok());
+    }
+
+    #[test]
+    fn transiently_failed_write_comes_back_in_its_cqe() {
+        let dev = device();
+        dev.lock().unwrap().arm_fault("fail@1".parse().unwrap());
+        let mut ring = IoUring::new_enter(dev, SharedClock::new(), 4);
+        ring.submit(write_sqe(7, 3, 0xAB)).unwrap();
+        let cqe = ring.wait_all().pop().unwrap();
+        assert!(!cqe.is_ok());
+        match cqe.result {
+            CqeResult::Requeue(op) => match *op {
+                SqeOp::Write { lba, data, .. } => {
+                    assert_eq!(lba, 3);
+                    assert!(data.unwrap().iter().all(|&b| b == 0xAB));
+                }
+                other => panic!("a write was submitted, got back {other:?}"),
+            },
+            other => panic!("expected the op handed back, got {other:?}"),
+        }
     }
 
     #[test]

@@ -61,6 +61,10 @@ pub enum CqeResult {
     Data(Option<Vec<u8>>),
     /// The device rejected the command.
     Error(DeviceError),
+    /// A write failed transiently ([`DeviceError::Injected`]) and persisted
+    /// nothing: the operation is handed back for the submitter to re-drive
+    /// (the way [`crate::RingError::SqFull`] hands back an unqueued entry).
+    Requeue(Box<SqeOp>),
 }
 
 /// A completion queue entry.
@@ -77,7 +81,7 @@ pub struct Cqe {
 impl Cqe {
     /// True when the operation succeeded.
     pub fn is_ok(&self) -> bool {
-        !matches!(self.result, CqeResult::Error(_))
+        !matches!(self.result, CqeResult::Error(_) | CqeResult::Requeue(_))
     }
 }
 

@@ -19,7 +19,7 @@ use slimio_suite::ftl::PlacementMode;
 use slimio_suite::imdb::backend::SnapshotKind;
 use slimio_suite::imdb::{Db, DbConfig, LogPolicy};
 use slimio_suite::nvme::{DeviceConfig, NvmeDevice};
-use slimio_suite::slimio::{PassthruBackend, PassthruConfig};
+use slimio_suite::slimio::PassthruBackend;
 use slimio_suite::uring::SharedClock;
 use std::sync::Mutex;
 
@@ -63,11 +63,7 @@ fn main() {
         ..DbConfig::default()
     };
     let mut db = Db::new(
-        PassthruBackend::new(
-            Arc::clone(&device),
-            SharedClock::new(),
-            PassthruConfig::default(),
-        ),
+        PassthruBackend::new(Arc::clone(&device), SharedClock::new()),
         cfg,
     );
 
@@ -91,12 +87,8 @@ fn main() {
 
     // Recovery. The engine replays snapshot + WAL, so we resume from the
     // *crash* point, not the checkpoint — the WAL covered the gap.
-    let backend = PassthruBackend::recover(
-        Arc::clone(&device),
-        SharedClock::new(),
-        PassthruConfig::default(),
-    )
-    .expect("backend recovery");
+    let backend = PassthruBackend::recover(Arc::clone(&device), SharedClock::new())
+        .expect("backend recovery");
     let (mut db, replayed) = Db::recover(backend, cfg, SimTime::ZERO).expect("db recovery");
     let resumed_from: u32 = String::from_utf8(db.get(b"sim:last_step").unwrap().to_vec())
         .unwrap()

@@ -21,7 +21,7 @@ use slimio_suite::ftl::PlacementMode;
 use slimio_suite::imdb::backend::{PersistBackend, SnapshotKind};
 use slimio_suite::imdb::wal::{encode, replay, WalRecord};
 use slimio_suite::nvme::{DeviceConfig, NvmeDevice};
-use slimio_suite::slimio::{PassthruBackend, PassthruConfig};
+use slimio_suite::slimio::PassthruBackend;
 use slimio_suite::uring::SharedClock;
 use std::sync::Mutex;
 
@@ -32,20 +32,11 @@ fn device() -> Arc<Mutex<NvmeDevice>> {
 }
 
 fn fresh(dev: &Arc<Mutex<NvmeDevice>>) -> PassthruBackend {
-    PassthruBackend::new(
-        Arc::clone(dev),
-        SharedClock::new(),
-        PassthruConfig::default(),
-    )
+    PassthruBackend::new(Arc::clone(dev), SharedClock::new())
 }
 
 fn recover(dev: &Arc<Mutex<NvmeDevice>>) -> PassthruBackend {
-    PassthruBackend::recover(
-        Arc::clone(dev),
-        SharedClock::new(),
-        PassthruConfig::default(),
-    )
-    .expect("recovery")
+    PassthruBackend::recover(Arc::clone(dev), SharedClock::new()).expect("recovery")
 }
 
 fn wal_record(seq: u64) -> Vec<u8> {

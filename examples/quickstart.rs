@@ -15,7 +15,7 @@ use slimio_suite::ftl::PlacementMode;
 use slimio_suite::imdb::backend::SnapshotKind;
 use slimio_suite::imdb::{Db, DbConfig, LogPolicy};
 use slimio_suite::nvme::{DeviceConfig, NvmeDevice};
-use slimio_suite::slimio::{PassthruBackend, PassthruConfig};
+use slimio_suite::slimio::PassthruBackend;
 use slimio_suite::uring::SharedClock;
 use std::sync::Mutex;
 
@@ -28,7 +28,7 @@ fn main() {
     // 2. The SlimIO backend: WAL-Path + Snapshot-Path rings, LBA regions,
     //    FDP placement IDs.
     let clock = SharedClock::new();
-    let backend = PassthruBackend::new(Arc::clone(&device), clock, PassthruConfig::default());
+    let backend = PassthruBackend::new(Arc::clone(&device), clock);
 
     // 3. A database with the default Periodical-Log policy.
     let cfg = DbConfig {
@@ -63,12 +63,8 @@ fn main() {
     drop(db);
 
     // 8. Recover: read metadata, load the snapshot, replay the WAL tail.
-    let recovered_backend = PassthruBackend::recover(
-        Arc::clone(&device),
-        SharedClock::new(),
-        PassthruConfig::default(),
-    )
-    .expect("recover backend");
+    let recovered_backend =
+        PassthruBackend::recover(Arc::clone(&device), SharedClock::new()).expect("recover backend");
     let (mut db2, replayed) = Db::recover(recovered_backend, cfg, t).expect("recover db");
     println!(
         "recovered {} keys (replayed {} WAL records after the snapshot)",

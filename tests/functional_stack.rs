@@ -13,7 +13,7 @@ use slimio_suite::imdb::backend::{FileBackend, SnapshotKind};
 use slimio_suite::imdb::{Db, DbConfig, LogPolicy};
 use slimio_suite::kpath::{FsProfile, KernelCosts, SimFs};
 use slimio_suite::nvme::{DeviceConfig, NvmeDevice};
-use slimio_suite::slimio::{PassthruBackend, PassthruConfig};
+use slimio_suite::slimio::PassthruBackend;
 use slimio_suite::uring::SharedClock;
 use std::sync::Mutex;
 
@@ -97,11 +97,7 @@ fn both_backends_recover_identical_state() {
 
     // SlimIO: passthru over an FDP device.
     let slim_dev = fdp_device();
-    let backend = PassthruBackend::new(
-        Arc::clone(&slim_dev),
-        SharedClock::new(),
-        PassthruConfig::default(),
-    );
+    let backend = PassthruBackend::new(Arc::clone(&slim_dev), SharedClock::new());
     let mut slim_db = Db::new(backend, db_config());
     let expect_slim = drive(&mut slim_db, 3000, 7);
 
@@ -120,12 +116,7 @@ fn both_backends_recover_identical_state() {
     verify(&mut base_rec, &expect_base);
 
     drop(slim_db);
-    let backend = PassthruBackend::recover(
-        Arc::clone(&slim_dev),
-        SharedClock::new(),
-        PassthruConfig::default(),
-    )
-    .unwrap();
+    let backend = PassthruBackend::recover(Arc::clone(&slim_dev), SharedClock::new()).unwrap();
     let (mut slim_rec, _) = Db::recover(backend, db_config(), SimTime::ZERO).unwrap();
     verify(&mut slim_rec, &expect_slim);
 
@@ -141,11 +132,7 @@ fn both_backends_recover_identical_state() {
 #[test]
 fn on_demand_and_wal_snapshots_coexist() {
     let dev = fdp_device();
-    let backend = PassthruBackend::new(
-        Arc::clone(&dev),
-        SharedClock::new(),
-        PassthruConfig::default(),
-    );
+    let backend = PassthruBackend::new(Arc::clone(&dev), SharedClock::new());
     let mut cfg = db_config();
     cfg.wal_snapshot_threshold = 48 * 1024;
     let mut db = Db::new(backend, cfg);
@@ -174,12 +161,7 @@ fn on_demand_and_wal_snapshots_coexist() {
     drop(db);
 
     // Recovery uses the WAL-snapshot chain and sees everything.
-    let backend = PassthruBackend::recover(
-        Arc::clone(&dev),
-        SharedClock::new(),
-        PassthruConfig::default(),
-    )
-    .unwrap();
+    let backend = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
     let (mut rec, _) = Db::recover(backend, cfg, t).unwrap();
     assert_eq!(rec.len(), 400);
     assert_eq!(&*rec.get(b"k0").unwrap(), &[1u8; 512][..]);
@@ -192,11 +174,7 @@ fn repeated_crash_recover_cycles_converge() {
     let t = SimTime::ZERO;
     let mut surviving = 0usize;
     {
-        let backend = PassthruBackend::new(
-            Arc::clone(&dev),
-            SharedClock::new(),
-            PassthruConfig::default(),
-        );
+        let backend = PassthruBackend::new(Arc::clone(&dev), SharedClock::new());
         let mut db = Db::new(backend, db_config());
         for i in 0..500u32 {
             db.set(format!("k{i}").as_bytes(), &[9u8; 200], t).unwrap();
@@ -207,12 +185,7 @@ fn repeated_crash_recover_cycles_converge() {
     }
     // Crash/recover three times, adding data each round.
     for round in 0..3u32 {
-        let backend = PassthruBackend::recover(
-            Arc::clone(&dev),
-            SharedClock::new(),
-            PassthruConfig::default(),
-        )
-        .unwrap();
+        let backend = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
         let (mut db, _) = Db::recover(backend, db_config(), t).unwrap();
         assert_eq!(db.len(), surviving, "round {round}");
         for i in 0..100u32 {
@@ -226,12 +199,7 @@ fn repeated_crash_recover_cycles_converge() {
         db.sync_wal(t).unwrap();
         surviving += 100;
     }
-    let backend = PassthruBackend::recover(
-        Arc::clone(&dev),
-        SharedClock::new(),
-        PassthruConfig::default(),
-    )
-    .unwrap();
+    let backend = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
     let (db, _) = Db::recover(backend, db_config(), t).unwrap();
     assert_eq!(db.len(), surviving);
 }
