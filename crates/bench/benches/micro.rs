@@ -2,16 +2,17 @@
 //! external bench framework; `harness = false`).
 //!
 //! These are component-level benches (the table/figure reproductions live
-//! in the `table*`/`fig*` binaries): event scheduler, ring transfer, FTL
-//! write/GC, compression, WAL/RDB codecs, histogram recording, restart
-//! on both I/O paths, Zipfian sampling. Each bench reports ns/op over a
-//! fixed iteration count after a warmup pass; pass `--quick` to shrink
-//! iteration counts for CI smoke runs.
+//! in the `table*`/`fig*` binaries): event scheduler, ring transfer,
+//! io_uring submit→reap in both ring modes, FTL write/GC, compression,
+//! WAL/RDB codecs, histogram recording, restart on both I/O paths,
+//! Zipfian sampling. Each bench reports ns/op over a fixed iteration
+//! count after a warmup pass; pass `--quick` to shrink iteration counts
+//! for CI smoke runs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use slimio::PassthruBackend;
 use slimio_des::{Scheduler, SimTime, Xoshiro256};
@@ -23,7 +24,7 @@ use slimio_imdb::{Db, DbConfig, LogPolicy};
 use slimio_metrics::Histogram;
 use slimio_nvme::{DeviceConfig, NvmeDevice};
 use slimio_server::{BackendKind, Store, StoreConfig};
-use slimio_uring::{spsc, SharedClock};
+use slimio_uring::{spsc, IoUring, RingMode, SharedClock, Sqe, SqeOp};
 use slimio_workload::Zipfian;
 
 struct Harness {
@@ -42,10 +43,13 @@ impl Harness {
         for i in 0..iters {
             op(i);
         }
-        let secs = start.elapsed().as_secs_f64();
-        let ns = secs / iters as f64 * 1e9;
-        println!("{name:<40} {ns:>12.1} ns/op   ({iters} iters)");
-        secs / iters as f64
+        Self::report(name, start.elapsed(), iters)
+    }
+
+    fn report(name: &str, total: Duration, iters: u64) -> f64 {
+        let secs = total.as_secs_f64() / iters as f64;
+        println!("{name:<40} {:>12.1} ns/op   ({iters} iters)", secs * 1e9);
+        secs
     }
 }
 
@@ -164,6 +168,62 @@ fn bench_spsc(h: &Harness) {
         p.push(i).unwrap();
         std::hint::black_box(cons.pop().unwrap());
     });
+}
+
+/// One 4 KiB timing-only write through a ring: submit, then reap its
+/// completion. `enter` is the WAL-Path's mode; `sqpoll_hot` finds the
+/// poller polling (the submit is a bare ring push), `sqpoll_parked` finds
+/// it asleep (the submit pays the wake-up, the reap waits for the poller
+/// to get back onto a CPU). The gap between the last two is what
+/// `slimio-uring`'s idle grace buys for as long as it lasts, and what a
+/// ring left alone for longer pays once.
+fn bench_uring(h: &Harness) {
+    let ring = |mode| {
+        let dev = NvmeDevice::new(DeviceConfig {
+            store_data: false,
+            ..DeviceConfig::tiny(PlacementMode::Conventional)
+        });
+        IoUring::new(Arc::new(Mutex::new(dev)), SharedClock::new(), 64, mode)
+    };
+    let round = |ring: &mut IoUring, i: u64| {
+        let op = SqeOp::Write {
+            lba: i % 1024,
+            blocks: 1,
+            pid: 0,
+            data: None,
+        };
+        let sqe = Sqe {
+            user_data: i,
+            op,
+            submitted_at: SimTime::ZERO,
+        };
+        ring.submit(sqe).expect("SQ has room");
+        ring.enter();
+        while ring.reap().is_none() {
+            std::hint::spin_loop();
+        }
+    };
+    let mut enter = ring(RingMode::Enter);
+    h.bench("uring/submit_reap_enter", 1_000_000, |i| {
+        round(&mut enter, i)
+    });
+    let mut sqpoll = ring(RingMode::SqPoll);
+    h.bench("uring/submit_reap_sqpoll_hot", 1_000_000, |i| {
+        round(&mut sqpoll, i)
+    });
+    // Timed by hand: the wait for the poller to fall asleep is not the op.
+    let iters = (2_000 * h.scale / 100).max(1);
+    let mut total = Duration::ZERO;
+    for i in 0..iters {
+        let parks = sqpoll.sqpoll_stats().parks();
+        while sqpoll.sqpoll_stats().parks() == parks {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        let t0 = Instant::now();
+        round(&mut sqpoll, i);
+        total += t0.elapsed();
+    }
+    Harness::report("uring/submit_reap_sqpoll_parked", total, iters);
 }
 
 fn bench_ftl(h: &Harness) {
@@ -367,6 +427,7 @@ fn main() {
     );
     bench_sched(&h);
     bench_spsc(&h);
+    bench_uring(&h);
     bench_ftl(&h);
     bench_device(&h);
     bench_compress(&h);

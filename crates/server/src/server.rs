@@ -437,6 +437,7 @@ impl Server {
             "shard count must be in 1..={MAX_SHARDS}, got {shards}"
         );
         let backends = store.open_shards().map_err(ServerError::Backend)?;
+        let rings = backends.iter().map(AnyBackend::sqpoll_stats).collect();
         let cfg = DbConfig {
             policy: opts.policy,
             wal_snapshot_threshold: opts.wal_snapshot_threshold,
@@ -559,6 +560,7 @@ impl Server {
                     shared: Arc::clone(&shared),
                     repl: Arc::clone(&repl),
                     device: Arc::clone(store.device()),
+                    rings,
                 };
                 let (bound, handle) =
                     telemetry::spawn_metrics_listener(maddr, ctx).map_err(ServerError::Io)?;

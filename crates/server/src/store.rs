@@ -17,7 +17,7 @@ use slimio_des::SimTime;
 use slimio_imdb::backend::{BackendError, FileBackend, IoTiming, PersistBackend, SnapshotKind};
 use slimio_kpath::{FsProfile, KernelCosts, SimFs};
 use slimio_nvme::{DeviceConfig, NvmeDevice};
-use slimio_uring::SharedClock;
+use slimio_uring::{SharedClock, SqPollStats};
 
 /// Which I/O path serves the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,6 +85,15 @@ impl AnyBackend {
     /// Snapshots device/FTL/NAND telemetry (one lock acquisition).
     pub fn device_telemetry(&self) -> slimio_nvme::DeviceTelemetry {
         self.device().lock().unwrap().telemetry()
+    }
+
+    /// The Snapshot-Path ring's park / wake-up counts; the kernel path
+    /// has no ring.
+    pub fn sqpoll_stats(&self) -> Option<Arc<SqPollStats>> {
+        match self {
+            AnyBackend::Kernel(_) => None,
+            AnyBackend::Passthru(b) => Some(b.snapshot_ring_stats()),
+        }
     }
 }
 

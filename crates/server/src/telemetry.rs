@@ -11,7 +11,8 @@
 //! `/metrics`. Only state the server does *not* own as a plain number is
 //! sampled into the registry at scrape time: device/FTL telemetry,
 //! replication state and admission-gate depth (each lives under its own
-//! mutex for functional reasons), and uptime.
+//! mutex for functional reasons), each shard's snapshot-ring poller
+//! counts (the ring's own atomics), and uptime.
 //!
 //! Stage taxonomy for one write, matching the writer's batch loop:
 //!
@@ -36,6 +37,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use slimio_metrics::{AtomicHistogram, Counter, IntGauge, Registry};
 use slimio_nvme::NvmeDevice;
+use slimio_uring::SqPollStats;
 
 use crate::govern::lock_ok;
 use crate::repl::{ReplState, ReplicaPeer, Role};
@@ -414,21 +416,23 @@ impl Telemetry {
 
     /// Refreshes the sampled series, then renders the whole registry as
     /// Prometheus text. Called per scrape; never on a hot path.
-    pub(crate) fn render(
-        &self,
-        shared: &Shared,
-        repl: &ReplState,
-        device: &Arc<Mutex<NvmeDevice>>,
-    ) -> String {
-        self.sample(shared, repl, device);
+    pub(crate) fn render(&self, ctx: &MetricsCtx) -> String {
+        self.sample(ctx);
         self.registry.render_prometheus()
     }
 
     /// Copies what the server does not own as a registry handle into the
     /// registry: uptime (a clock), admission-gate depth (the semaphore
-    /// under its condvar mutex), replication state (under the repl lock)
-    /// and the device's own telemetry (under the device lock).
-    fn sample(&self, shared: &Shared, repl: &ReplState, device: &Arc<Mutex<NvmeDevice>>) {
+    /// under its condvar mutex), replication state (under the repl lock),
+    /// the device's own telemetry (under the device lock) and each
+    /// shard's snapshot-ring poller counts.
+    fn sample(&self, ctx: &MetricsCtx) {
+        let MetricsCtx {
+            shared,
+            repl,
+            device,
+            rings,
+        } = ctx;
         let r = &self.registry;
         r.gauge("slimio_uptime_seconds", &[], "Seconds since server start")
             .set(shared.start.elapsed().as_secs_f64());
@@ -439,6 +443,24 @@ impl Telemetry {
                 "Admission-gate depth per shard",
             )
             .set(shared.gov.shard_depth(i) as u64);
+        }
+        for (i, ring) in rings.iter().enumerate() {
+            let Some(ring) = ring else { continue };
+            let shard = i.to_string();
+            for (name, help, v) in [
+                (
+                    "slimio_sqpoll_parks_total",
+                    "Times the snapshot ring's idle poller went to sleep",
+                    ring.parks(),
+                ),
+                (
+                    "slimio_sqpoll_wakeups_total",
+                    "Times a submit woke the snapshot ring's sleeping poller",
+                    ring.wakeups(),
+                ),
+            ] {
+                r.counter(name, &[("shard", &shard)], help).set(v);
+            }
         }
         {
             let mut rs = repl.lock();
@@ -577,6 +599,8 @@ pub(crate) struct MetricsCtx {
     pub(crate) shared: Arc<Shared>,
     pub(crate) repl: Arc<ReplState>,
     pub(crate) device: Arc<Mutex<NvmeDevice>>,
+    /// Per shard, its snapshot ring's poller counts (passthru only).
+    pub(crate) rings: Vec<Option<Arc<SqPollStats>>>,
 }
 
 /// Binds `addr` and serves Prometheus text on `GET /metrics` over
@@ -637,7 +661,7 @@ fn serve_scrape(mut stream: TcpStream, ctx: &MetricsCtx) -> std::io::Result<()> 
             (
                 "200 OK",
                 "text/plain; version=0.0.4; charset=utf-8",
-                tel.render(&ctx.shared, &ctx.repl, &ctx.device),
+                tel.render(ctx),
             )
         } else {
             ("404 Not Found", "text/plain", "not found\n".to_string())

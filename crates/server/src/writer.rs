@@ -460,6 +460,9 @@ impl Writer {
                     self.last_snapshot_ms =
                         Some(t0.elapsed().as_millis().min(u64::MAX as u128) as u64);
                 }
+                // A snapshot pumped to its end between batches: no batch
+                // follows to publish that it is over.
+                self.publish_slot();
             }
             Ok(false) => {}
             Err(_) => {

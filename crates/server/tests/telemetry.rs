@@ -335,6 +335,8 @@ slimio_shard_busy_refused_total counter shard
 slimio_shard_queue_cap gauge shard
 slimio_shard_queue_depth gauge shard
 slimio_shard_queue_hwm gauge shard
+slimio_sqpoll_parks_total counter shard
+slimio_sqpoll_wakeups_total counter shard
 slimio_uptime_seconds gauge
 slimio_view_published_seq counter shard
 slimio_wal_len_bytes gauge shard

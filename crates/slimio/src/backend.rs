@@ -10,8 +10,11 @@
 //! `io_uring_enter`; completions are harvested by a dedicated handler
 //! (modeled by opportunistic reaps). The **Snapshot-Path** is an SQPOLL
 //! ring: a poller thread drains the SQ, so the snapshot process submits
-//! with zero syscalls. Both rings target the same emulated NVMe device;
-//! every write carries its stream's Placement ID (§4.3).
+//! with a ring push — plus one wake-up if the poller went to sleep, which
+//! it does a short grace after the last entry (the real SQPOLL contract:
+//! no syscall while a snapshot streams, no CPU between snapshots). Both
+//! rings target the same emulated NVMe device; every write carries its
+//! stream's Placement ID (§4.3).
 //!
 //! The file reads top to bottom as: constants → construction ([`build`]
 //! is the one constructor body) → the one write path ([`submit_writes`])
@@ -28,7 +31,9 @@ use slimio_ftl::Pid;
 use slimio_imdb::backend::{BackendError, IoTiming, PersistBackend, SnapshotKind};
 use slimio_imdb::wal::{self as walcodec, WalDecodeError};
 use slimio_nvme::{DeviceError, NvmeDevice, LBA_BYTES};
-use slimio_uring::{Cqe, CqeResult, IoUring, PassthruCosts, RingError, SharedClock, Sqe, SqeOp};
+use slimio_uring::{
+    Cqe, CqeResult, IoUring, PassthruCosts, RingError, SharedClock, SqPollStats, Sqe, SqeOp,
+};
 
 use crate::layout::{Layout, META_LBAS};
 use crate::metadata::{pick_newest, MetaRecord};
@@ -320,6 +325,12 @@ impl PassthruBackend {
         &self.slots
     }
 
+    /// How often the Snapshot-Path ring's poller went to sleep and was
+    /// woken; shareable with a telemetry thread.
+    pub fn snapshot_ring_stats(&self) -> Arc<SqPollStats> {
+        Arc::clone(self.snap_ring.sqpoll_stats())
+    }
+
     /// Submits one operation to a ring, draining it on backpressure.
     fn submit(
         ring: &mut IoUring,
@@ -519,7 +530,7 @@ impl PersistBackend for PassthruBackend {
         let pid = pid_of(self.pids, st.kind);
         let (ring, device) = (&mut self.snap_ring, &self.device);
         Self::submit_writes(ring, device, pages, pid, now)?;
-        // SQPOLL: pure ring pushes, no syscall.
+        // SQPOLL: ring pushes; at most the first pays a wake-up.
         let cpu = self.costs.submit_sqpoll((full as u64).max(1));
         Self::reap(ring, device)?;
         Ok(IoTiming {
@@ -744,6 +755,32 @@ mod tests {
             .load_snapshot(SnapshotKind::WalSnapshot, SimTime::ZERO)
             .unwrap();
         assert!(none.is_none());
+    }
+
+    #[test]
+    fn only_a_snapshot_wakes_the_sleeping_snapshot_ring() {
+        let dev = device();
+        let mut b = backend(&dev);
+        let ring = b.snapshot_ring_stats();
+        while ring.parks() == 0 {
+            std::thread::yield_now();
+        }
+        // The WAL-Path is enter-driven: the SET path never pays a wake-up.
+        for seq in 1..=20u64 {
+            b.wal_append(&wal_record(seq, 500), SimTime::ZERO).unwrap();
+            b.wal_sync(SimTime::ZERO).unwrap();
+        }
+        assert_eq!(ring.wakeups(), 0);
+        b.snapshot_begin(SnapshotKind::OnDemand, SimTime::ZERO)
+            .unwrap();
+        b.snapshot_chunk(&vec![0xCD; 10_000], SimTime::ZERO)
+            .unwrap();
+        b.snapshot_commit(SimTime::ZERO).unwrap();
+        assert!(ring.wakeups() >= 1);
+        let (data, _) = b
+            .load_snapshot(SnapshotKind::OnDemand, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(data.unwrap(), vec![0xCD; 10_000]);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * [`IoUring`] — an SQ/CQ pair bound to an emulated NVMe device
 //!   (`slimio-nvme`). Two operating modes:
 //!   - **SQPOLL** ([`RingMode::SqPoll`]): a dedicated poller thread drains
-//!     the SQ continuously, so submission is just a ring push — no syscall,
-//!     matching the paper's Snapshot-Path configuration (§4.1);
+//!     the SQ, so submission is just a ring push — no syscall, matching the
+//!     paper's Snapshot-Path configuration (§4.1) — plus one wake-up when
+//!     the poller, idle past a short grace, has gone to sleep;
 //!   - **enter-driven** ([`RingMode::Enter`]): the submitter calls
 //!     [`IoUring::enter`], modelling the `io_uring_enter(2)` syscall.
 //! * [`SharedClock`] — an atomic virtual clock shared between submitter
@@ -36,6 +37,6 @@ pub mod sqe;
 
 pub use clock::SharedClock;
 pub use costs::PassthruCosts;
-pub use ring::{IoUring, RingError, RingMode};
+pub use ring::{IoUring, RingError, RingMode, SqPollStats};
 pub use spsc::SpscRing;
 pub use sqe::{Cqe, CqeResult, Sqe, SqeOp};

@@ -1,8 +1,21 @@
 //! The SQ/CQ ring pair bound to an emulated NVMe device.
+//!
+//! An SQPOLL ring's poller is event-driven on the submission side, the
+//! way the kernel's is: it drains the SQ, keeps looking for
+//! `SQ_THREAD_IDLE` after the last entry, then publishes
+//! `need_wakeup`, re-checks the SQ and `stop`, and sleeps.
+//! [`IoUring::submit`] pushes, fences, and wakes the poller only when
+//! that flag is up (`IORING_SQ_NEED_WAKEUP` / `IORING_ENTER_SQ_WAKEUP`).
+//! Both sides do *store, `SeqCst` fence, load* — the submitter stores the
+//! SQ tail and loads the flag, the poller stores the flag and loads the
+//! tail — so at least one of them sees the other's store: either the
+//! poller finds the entry and does not sleep, or the submitter finds the
+//! flag and wakes it. A wake-up can be spurious, never lost.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use slimio_nvme::{DeviceError, NvmeDevice};
 use std::sync::Mutex;
@@ -11,14 +24,31 @@ use crate::clock::SharedClock;
 use crate::spsc::{self, Consumer, Producer};
 use crate::sqe::{Cqe, CqeResult, Sqe, SqeOp};
 
+/// How long an SQPOLL poller keeps polling an empty SQ before it sleeps
+/// (io_uring's `sq_thread_idle`). `cargo bench -p slimio-bench --bench
+/// micro` prices the trade, in ns per submit→reap round of one page write
+/// on 2 vCPUs: `uring/submit_reap_enter` 78, `uring/submit_reap_sqpoll_hot`
+/// 987 (poller inside the grace: the submit is a bare ring push),
+/// `uring/submit_reap_sqpoll_parked` 28 506 (poller asleep: the round pays
+/// the futex wake and the poller's way back onto a CPU). Waking costs
+/// some 25 µs, so the grace is several times that: a submitter that comes
+/// back within 200 µs never pays it, and one that stays away longer pays
+/// it once — a live `BGSAVE` cuts a 256 KiB chunk every few milliseconds
+/// and wakes the poller once per chunk, under 1 % of the chunk's time —
+/// against 200 µs of polling per idle period instead of a core for as
+/// long as the ring exists.
+const SQ_THREAD_IDLE: Duration = Duration::from_micros(200);
+
 /// How submissions reach the device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RingMode {
     /// The submitter drives processing by calling [`IoUring::enter`]
     /// (models `io_uring_enter(2)`).
     Enter,
-    /// A dedicated poller thread drains the SQ continuously (models
-    /// `IORING_SETUP_SQPOLL`): submission is a ring push, no syscall.
+    /// A dedicated poller thread drains the SQ (models
+    /// `IORING_SETUP_SQPOLL`): submission is a ring push, plus one
+    /// wake-up if the poller went to sleep — after a short idle grace it
+    /// does, so a ring with nothing submitted costs no CPU.
     SqPoll,
 }
 
@@ -39,13 +69,45 @@ impl std::fmt::Display for RingError {
 
 impl std::error::Error for RingError {}
 
+/// How often an SQPOLL ring's poller went to sleep and was woken.
+/// Shareable, so telemetry can read a ring another thread owns; both stay
+/// zero on an enter-mode ring.
+#[derive(Debug, Default)]
+pub struct SqPollStats {
+    parks: AtomicU64,
+    wakeups: AtomicU64,
+}
+
+impl SqPollStats {
+    /// Times the poller found the SQ still empty after the idle grace
+    /// and went to sleep.
+    pub fn parks(&self) -> u64 {
+        self.parks.load(Ordering::Relaxed)
+    }
+
+    /// Times a submit found the poller asleep and woke it.
+    pub fn wakeups(&self) -> u64 {
+        self.wakeups.load(Ordering::Relaxed)
+    }
+}
+
+/// What the submitter and its poller share besides the two rings.
+#[derive(Default)]
+struct Handshake {
+    /// Raised by `Drop`: the poller drains the SQ and exits.
+    stop: AtomicBool,
+    /// Raised by the poller before it sleeps; a submit that sees it owes
+    /// the poller an `unpark` (and lowers it, so a burst pays one).
+    need_wakeup: AtomicBool,
+}
+
 enum Engine {
     Enter {
         sq_cons: Consumer<Sqe>,
         cq_prod: Producer<Cqe>,
     },
     SqPoll {
-        stop: Arc<AtomicBool>,
+        shared: Arc<Handshake>,
         handle: Option<JoinHandle<()>>,
     },
 }
@@ -64,6 +126,7 @@ pub struct IoUring {
     device: Arc<Mutex<NvmeDevice>>,
     clock: SharedClock,
     outstanding: u64,
+    stats: Arc<SqPollStats>,
 }
 
 /// Executes one SQE against the device and builds its CQE.
@@ -117,6 +180,55 @@ fn execute(device: &Mutex<NvmeDevice>, clock: &SharedClock, sqe: Sqe) -> Cqe {
     }
 }
 
+/// The SQPOLL poller: drain, linger for [`SQ_THREAD_IDLE`], sleep.
+fn poll_sq(
+    sq_cons: Consumer<Sqe>,
+    cq_prod: Producer<Cqe>,
+    device: &Mutex<NvmeDevice>,
+    clock: &SharedClock,
+    shared: &Handshake,
+    stats: &SqPollStats,
+) {
+    let mut idle_since = None;
+    loop {
+        let mut worked = false;
+        while let Some(sqe) = sq_cons.pop() {
+            worked = true;
+            let mut cqe = execute(device, clock, sqe);
+            // Back off until the CQ has room (the consumer is obligated
+            // to reap — unless it is gone, and then nobody wants the CQE).
+            while let Err(back) = cq_prod.push(cqe) {
+                if shared.stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                cqe = back;
+                std::thread::yield_now();
+            }
+        }
+        if worked {
+            idle_since = None;
+            continue;
+        }
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        if idle_since.get_or_insert_with(Instant::now).elapsed() < SQ_THREAD_IDLE {
+            std::thread::yield_now();
+            continue;
+        }
+        // Publish, then look again: an entry pushed (or a stop raised)
+        // before the flag was visible has nobody to wake us.
+        shared.need_wakeup.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if sq_cons.is_empty() && !shared.stop.load(Ordering::SeqCst) {
+            stats.parks.fetch_add(1, Ordering::Relaxed);
+            std::thread::park();
+        }
+        shared.need_wakeup.store(false, Ordering::SeqCst);
+        idle_since = None;
+    }
+}
+
 impl IoUring {
     /// Creates a ring pair of the given depth over `device`.
     ///
@@ -130,44 +242,19 @@ impl IoUring {
     ) -> Self {
         let (sq_prod, sq_cons) = spsc::ring::<Sqe>(depth);
         let (cq_prod, cq_cons) = spsc::ring::<Cqe>(depth * 2);
+        let stats = Arc::new(SqPollStats::default());
         let engine = match mode {
             RingMode::Enter => Engine::Enter { sq_cons, cq_prod },
             RingMode::SqPoll => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let stop2 = Arc::clone(&stop);
-                let clock2 = clock.clone();
-                let device = Arc::clone(&device);
+                let shared = Arc::new(Handshake::default());
+                let (device, clock) = (Arc::clone(&device), clock.clone());
+                let (shared2, stats2) = (Arc::clone(&shared), Arc::clone(&stats));
                 let handle = std::thread::Builder::new()
                     .name("sqpoll".into())
-                    .spawn(move || {
-                        loop {
-                            let mut worked = false;
-                            while let Some(sqe) = sq_cons.pop() {
-                                worked = true;
-                                let mut cqe = execute(&device, &clock2, sqe);
-                                // Spin until the CQ has room (the consumer
-                                // is obligated to reap).
-                                loop {
-                                    match cq_prod.push(cqe) {
-                                        Ok(()) => break,
-                                        Err(back) => {
-                                            cqe = back;
-                                            std::thread::yield_now();
-                                        }
-                                    }
-                                }
-                            }
-                            if !worked {
-                                if stop2.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
-                    })
+                    .spawn(move || poll_sq(sq_cons, cq_prod, &device, &clock, &shared2, &stats2))
                     .expect("spawn sqpoll thread");
                 Engine::SqPoll {
-                    stop,
+                    shared,
                     handle: Some(handle),
                 }
             }
@@ -179,6 +266,7 @@ impl IoUring {
             device,
             clock,
             outstanding: 0,
+            stats,
         }
     }
 
@@ -210,16 +298,47 @@ impl IoUring {
         self.outstanding
     }
 
-    /// Pushes an SQE. In SQPOLL mode the poller picks it up immediately;
-    /// in enter mode it sits until [`IoUring::enter`].
+    /// The poller's park / wake-up counts.
+    pub fn sqpoll_stats(&self) -> &Arc<SqPollStats> {
+        &self.stats
+    }
+
+    /// True once the poller thread has exited. Before `drop`, only a panic
+    /// in [`execute`] makes it.
+    fn dead_poller(&self) -> bool {
+        matches!(&self.engine, Engine::SqPoll { handle: Some(h), .. } if h.is_finished())
+    }
+
+    /// Pushes an SQE. In SQPOLL mode the poller picks it up — at once if
+    /// it is polling, after one wake-up if it went to sleep; in enter mode
+    /// the entry sits until [`IoUring::enter`].
+    ///
+    /// # Panics
+    /// On a full SQ whose poller thread has died: nothing will ever drain
+    /// it.
     pub fn submit(&mut self, sqe: Sqe) -> Result<(), RingError> {
-        match self.sq_prod.push(sqe) {
-            Ok(()) => {
-                self.outstanding += 1;
-                Ok(())
-            }
-            Err(back) => Err(RingError::SqFull(Box::new(back))),
+        if let Err(back) = self.sq_prod.push(sqe) {
+            assert!(
+                !self.dead_poller(),
+                "SQPOLL ring: the poller thread died; the SQ is full and {} commands will never complete",
+                self.outstanding
+            );
+            return Err(RingError::SqFull(Box::new(back)));
         }
+        self.outstanding += 1;
+        if let Engine::SqPoll { shared, handle } = &self.engine {
+            // Pairs with the poller's fence between raising the flag and
+            // re-checking the SQ.
+            fence(Ordering::SeqCst);
+            if shared.need_wakeup.load(Ordering::SeqCst)
+                && shared.need_wakeup.swap(false, Ordering::SeqCst)
+            {
+                self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+                let poller = handle.as_ref().expect("joined only in drop");
+                poller.thread().unpark();
+            }
+        }
+        Ok(())
     }
 
     /// Processes pending SQEs (enter mode only; no-op under SQPOLL).
@@ -249,13 +368,24 @@ impl IoUring {
     /// Blocks (spinning/yielding) until all outstanding commands complete,
     /// returning their CQEs in completion order. In enter mode this drives
     /// processing itself.
+    ///
+    /// # Panics
+    /// When an SQPOLL ring's poller thread has died with commands
+    /// outstanding: they will never complete.
     pub fn wait_all(&mut self) -> Vec<Cqe> {
         let mut out = Vec::with_capacity(self.outstanding as usize);
         while self.outstanding > 0 {
             self.enter();
             match self.reap() {
                 Some(c) => out.push(c),
-                None => std::thread::yield_now(),
+                None => {
+                    assert!(
+                        !self.dead_poller(),
+                        "SQPOLL ring: the poller thread died with {} commands outstanding",
+                        self.outstanding
+                    );
+                    std::thread::yield_now();
+                }
             }
         }
         out
@@ -264,9 +394,12 @@ impl IoUring {
 
 impl Drop for IoUring {
     fn drop(&mut self) {
-        if let Engine::SqPoll { stop, handle } = &mut self.engine {
-            stop.store(true, Ordering::Release);
+        if let Engine::SqPoll { shared, handle } = &mut self.engine {
+            shared.stop.store(true, Ordering::SeqCst);
             if let Some(h) = handle.take() {
+                // Unconditionally: an unpark ahead of the park makes that
+                // park return at once, so this wake-up cannot be lost.
+                h.thread().unpark();
                 let _ = h.join();
             }
         }
@@ -336,6 +469,139 @@ mod tests {
         // Completions arrive in submission order (single poller).
         let ids: Vec<u64> = cqes.iter().map(|c| c.user_data).collect();
         assert_eq!(ids, vec![0, 1, 2, 3]);
+    }
+
+    /// Waits — however long it takes — until the poller has gone to
+    /// sleep more than `seen` times.
+    fn await_park(ring: &IoUring, seen: u64) {
+        while ring.sqpoll_stats().parks() <= seen {
+            std::thread::sleep(SQ_THREAD_IDLE / 4);
+        }
+    }
+
+    #[test]
+    fn idle_poller_parks_and_the_next_submit_wakes_it() {
+        let mut ring = IoUring::new_sqpoll(device(), SharedClock::new(), 8);
+        await_park(&ring, 0);
+        assert_eq!(ring.sqpoll_stats().wakeups(), 0);
+        ring.submit(write_sqe(1, 0, 1)).unwrap();
+        let cqes = ring.wait_all();
+        assert_eq!(cqes.len(), 1);
+        assert!(cqes[0].is_ok());
+        assert_eq!(ring.sqpoll_stats().wakeups(), 1);
+        // It worked, lingered, and went back to sleep.
+        await_park(&ring, 1);
+        assert_eq!(ring.sqpoll_stats().wakeups(), 1);
+    }
+
+    #[test]
+    fn submits_to_a_poller_that_is_awake_pay_no_wakeup() {
+        let dev = device();
+        let mut ring = IoUring::new_sqpoll(Arc::clone(&dev), SharedClock::new(), 16);
+        // Pin the poller inside `execute`: it pops the first entry and
+        // blocks on the device, awake, for as long as this guard lives.
+        let guard = dev.lock().unwrap();
+        ring.submit(write_sqe(0, 0, 0)).unwrap();
+        while !ring.sq_prod.is_empty() {
+            std::thread::yield_now();
+        }
+        let woken = ring.sqpoll_stats().wakeups();
+        for i in 1..16 {
+            ring.submit(write_sqe(i, i, i as u8)).unwrap();
+        }
+        assert_eq!(
+            ring.sqpoll_stats().wakeups(),
+            woken,
+            "the hot path pays no futex"
+        );
+        drop(guard);
+        let ids: Vec<u64> = ring.wait_all().iter().map(|c| c.user_data).collect();
+        assert_eq!(ids, (0..16).collect::<Vec<u64>>());
+    }
+
+    /// The lost-wake-up hunt: rounds of submit → wait for every CQE, with
+    /// seeded pauses between rounds that land before, on and after the
+    /// moment the poller goes to sleep. A lost wake-up hangs `wait_all`.
+    #[test]
+    fn no_wakeup_is_lost_whenever_the_submit_lands() {
+        const ROUNDS: u64 = 100_000;
+        let mut rng = slimio_des::Xoshiro256::new(0x5EED_5157);
+        let mut ring = IoUring::new_sqpoll(device(), SharedClock::new(), 8);
+        let mut next = 0u64;
+        for _ in 0..ROUNDS {
+            // Mostly back to back; one round in sixteen straddles the
+            // grace, half of those within a few microseconds of its end.
+            let pause = match rng.gen_range(64) {
+                0..=59 => Duration::ZERO,
+                60 => SQ_THREAD_IDLE / 2,
+                61 | 62 => {
+                    SQ_THREAD_IDLE - Duration::from_micros(4)
+                        + Duration::from_nanos(rng.gen_range(8_000))
+                }
+                _ => SQ_THREAD_IDLE * 2,
+            };
+            let t0 = Instant::now();
+            while t0.elapsed() < pause {
+                std::hint::spin_loop();
+            }
+            let burst = 1 + rng.gen_range(3);
+            for i in 0..burst {
+                let sqe = Sqe {
+                    user_data: next + i,
+                    op: SqeOp::Write {
+                        lba: (next + i) % 64,
+                        blocks: 1,
+                        pid: 1,
+                        data: None,
+                    },
+                    submitted_at: SimTime::ZERO,
+                };
+                ring.submit(sqe).unwrap();
+            }
+            let cqes = ring.wait_all();
+            assert_eq!(cqes.len() as u64, burst);
+            for cqe in cqes {
+                assert!(cqe.is_ok(), "{cqe:?}");
+                assert_eq!(cqe.user_data, next, "CQEs stay FIFO");
+                next += 1;
+            }
+        }
+        let stats = ring.sqpoll_stats();
+        assert!(stats.parks() > 0 && stats.wakeups() > 0, "{stats:?}");
+    }
+
+    /// Poisons `dev`'s mutex, so the next `execute` panics its thread.
+    fn poison(dev: &Arc<Mutex<NvmeDevice>>) {
+        let dev = Arc::clone(dev);
+        let _ = std::thread::spawn(move || {
+            let _guard = dev.lock().unwrap();
+            panic!("poisoning the device mutex");
+        })
+        .join();
+    }
+
+    #[test]
+    #[should_panic(expected = "poller thread died with 1 commands outstanding")]
+    fn wait_all_on_a_dead_poller_fails_instead_of_hanging() {
+        let dev = device();
+        let mut ring = IoUring::new_sqpoll(Arc::clone(&dev), SharedClock::new(), 8);
+        poison(&dev);
+        ring.submit(write_sqe(1, 0, 1)).unwrap();
+        ring.wait_all();
+    }
+
+    #[test]
+    #[should_panic(expected = "poller thread died; the SQ is full")]
+    fn submit_to_a_full_sq_of_a_dead_poller_fails_instead_of_spinning() {
+        let dev = device();
+        let mut ring = IoUring::new_sqpoll(Arc::clone(&dev), SharedClock::new(), 2);
+        poison(&dev);
+        // The backend's back-off: retry a full SQ until it drains.
+        for i in 0.. {
+            while ring.submit(write_sqe(i, i, 0)).is_err() {
+                std::thread::yield_now();
+            }
+        }
     }
 
     #[test]
