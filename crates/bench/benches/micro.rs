@@ -4,8 +4,8 @@
 //! These are component-level benches (the table/figure reproductions live
 //! in the `table*`/`fig*` binaries): event scheduler, ring transfer,
 //! io_uring submit→reap in both ring modes, FTL write/GC, compression,
-//! WAL/RDB codecs, histogram recording, restart on both I/O paths,
-//! Zipfian sampling. Each bench reports ns/op over a fixed iteration
+//! WAL/RDB codecs, histogram recording, restart on both I/O paths, the
+//! keyspace index at three sizes, Zipfian sampling. Each bench reports ns/op over a fixed iteration
 //! count after a warmup pass; pass `--quick` to shrink iteration counts
 //! for CI smoke runs.
 
@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use slimio::PassthruBackend;
 use slimio_des::{Scheduler, SimTime, Xoshiro256};
 use slimio_ftl::{Ftl, FtlConfig, PlacementMode};
+use slimio_imdb::backend::{BackendError, IoTiming, PersistBackend, SnapshotKind};
 use slimio_imdb::compress;
 use slimio_imdb::rdb::RdbWriter;
 use slimio_imdb::wal::{decode, encode, WalRecord};
@@ -212,13 +213,19 @@ fn bench_uring(h: &Harness) {
         round(&mut sqpoll, i)
     });
     // Timed by hand: the wait for the poller to fall asleep is not the op.
+    // `parks` is read *before* a round, so the park that follows the round
+    // always moves it — read after, a park that beat the read is waited
+    // for forever.
     let iters = (2_000 * h.scale / 100).max(1);
     let mut total = Duration::ZERO;
+    let mut parks = sqpoll.sqpoll_stats().parks();
+    round(&mut sqpoll, 0);
     for i in 0..iters {
-        let parks = sqpoll.sqpoll_stats().parks();
         while sqpoll.sqpoll_stats().parks() == parks {
             std::thread::sleep(Duration::from_micros(50));
         }
+        // Parked, and only our submit wakes it: stable until the round.
+        parks = sqpoll.sqpoll_stats().parks();
         let t0 = Instant::now();
         round(&mut sqpoll, i);
         total += t0.elapsed();
@@ -408,6 +415,97 @@ fn bench_restart(h: &Harness) {
     }
 }
 
+/// A backend that accepts and forgets everything, so the keyspace bench
+/// times the engine's index and WAL encode, not a device.
+struct NullBackend;
+
+impl PersistBackend for NullBackend {
+    fn wal_append(&mut self, _: &[u8], now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn wal_sync(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn wal_len(&self) -> u64 {
+        0
+    }
+    fn snapshot_begin(&mut self, _: SnapshotKind, now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn snapshot_chunk(&mut self, _: &[u8], now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn snapshot_commit(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn snapshot_abort(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
+        Ok(IoTiming::instant(now))
+    }
+    fn load_snapshot(
+        &mut self,
+        _: SnapshotKind,
+        now: SimTime,
+    ) -> Result<(Option<Vec<u8>>, IoTiming), BackendError> {
+        Ok((None, IoTiming::instant(now)))
+    }
+    fn load_wal(&mut self, now: SimTime) -> Result<(Vec<u8>, IoTiming), BackendError> {
+        Ok((Vec::new(), IoTiming::instant(now)))
+    }
+}
+
+/// The one keyspace index from both sides, over the bench client's
+/// `key:<12 digits>` format at 10k / 100k / 1M keys: the writer's
+/// `set_queued` (overwrites, in batches of 16 with the commit + publish
+/// untimed, as the live writer runs it) and a registered reader's
+/// lock-free `get`. Per-op cost should stay within cache-miss distance
+/// across the sizes; on a badly mixed hash it grows with the key count.
+fn bench_keyspace(h: &Harness) {
+    const BATCH: usize = 16;
+    let key = |i: u64| format!("key:{i:012}").into_bytes();
+    let value = [b'v'; 64];
+    // The 1M pair costs ~2 s of preload; CI's quick run skips it.
+    let sizes: &[(u64, &str)] = if h.scale < 100 {
+        &[(10_000, "10k"), (100_000, "100k")]
+    } else {
+        &[(10_000, "10k"), (100_000, "100k"), (1_000_000, "1m")]
+    };
+    for &(n, label) in sizes {
+        let mut db = Db::new(NullBackend, DbConfig::default());
+        for i in 0..n {
+            db.set_queued(&key(i), &value);
+            if i % 4096 == 4095 {
+                db.flush_wal(SimTime::ZERO).unwrap();
+                db.publish_view();
+            }
+        }
+        db.flush_wal(SimTime::ZERO).unwrap();
+        db.publish_view();
+        let mut rng = Xoshiro256::new(0x6b65_7973 ^ n);
+        let ops: Vec<Vec<u8>> = (0..(200_000 * h.scale / 100).max(1))
+            .map(|_| key(rng.gen_range(n)))
+            .collect();
+
+        let mut set_time = Duration::ZERO;
+        for batch in ops.chunks(BATCH) {
+            let t0 = Instant::now();
+            for k in batch {
+                db.set_queued(k, &value);
+            }
+            set_time += t0.elapsed();
+            db.flush_wal(SimTime::ZERO).unwrap();
+            db.publish_view();
+        }
+        let iters = ops.len() as u64;
+        Harness::report(&format!("keyspace/set_queued_{label}"), set_time, iters);
+
+        let reader = db.read_view().register().expect("a fresh view has slots");
+        let t0 = Instant::now();
+        let hits = ops.iter().filter(|k| reader.get(k).is_some()).count();
+        Harness::report(&format!("keyspace/get_hit_{label}"), t0.elapsed(), iters);
+        assert_eq!(hits, ops.len());
+    }
+}
+
 fn bench_zipf(h: &Harness) {
     let z = Zipfian::new(9_000_000);
     let mut rng = Xoshiro256::new(7);
@@ -435,5 +533,6 @@ fn main() {
     bench_metrics(&h);
     bench_group_commit(&h);
     bench_restart(&h);
+    bench_keyspace(&h);
     bench_zipf(&h);
 }

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use slimio_bench::{json_string, run_cells, Cli};
 
-const BINS: [&str; 10] = [
+const BINS: [&str; 9] = [
     "table1",
     "table2",
     "table3",
@@ -31,7 +31,6 @@ const BINS: [&str; 10] = [
     "fig4",
     "fig5",
     "ablations",
-    "live_rps",
 ];
 
 struct SuiteRun {

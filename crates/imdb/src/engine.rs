@@ -1,14 +1,12 @@
 //! The database engine: keyspace, logging policies, snapshot
 //! orchestration, and recovery.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use slimio_des::SimTime;
 
 use crate::backend::{BackendError, IoTiming, PersistBackend, SnapshotKind};
-use crate::fxhash::FxBuildHasher;
 use crate::snapshot::SnapshotJob;
 use crate::view::{ReadView, ViewWriter};
 use crate::wal::{self, WalBuffer};
@@ -126,7 +124,11 @@ pub struct WriteReply {
 
 /// The in-memory database.
 pub struct Db<B: PersistBackend> {
-    map: HashMap<Arc<[u8]>, Arc<[u8]>, FxBuildHasher>,
+    /// The keyspace: the one index over it, and its writer half. Every
+    /// mutation lands here as the command executes; lock-free readers of
+    /// the shared half ([`Db::read_view`]) see it after the next
+    /// [`Db::publish_view`]. The engine's own reads see it at once.
+    index: ViewWriter,
     backend: B,
     cfg: DbConfig,
     wal_buf: WalBuffer,
@@ -140,23 +142,12 @@ pub struct Db<B: PersistBackend> {
     /// High-water mark of `mem_used`.
     peak_mem: u64,
     stats: DbStats,
-    /// Writer half of the concurrent read view, when one is installed
-    /// (live server only; the simulated pipeline never installs one).
-    view: Option<ViewWriter>,
     /// Mirror of every byte successfully handed to the backend's WAL,
     /// when enabled ([`Db::enable_wal_tap`]). The live server drains it
     /// after each group commit to feed the replication backlog; the
     /// simulated pipeline never enables it, so DES results are
     /// unaffected.
     wal_tap: Option<Vec<u8>>,
-    /// Keyspace mutations applied to `map` but not yet mirrored into the
-    /// view: `(key, Some(value))` for a set, `(key, None)` for a delete.
-    /// Drained by [`Db::publish_view`] after each group commit.
-    view_pending: Vec<PendingViewOp>,
-    /// Bytes staged in `view_pending` (keys + values), counted into
-    /// [`Db::mem_governed`] so a stalled publish cannot hide growth from
-    /// the `--maxmemory` accounting.
-    view_pending_bytes: u64,
     /// When set (sharded live server), sequence numbers are drawn from
     /// this process-wide counter instead of the private `seq` field, so
     /// records across all shard engines carry globally unique, totally
@@ -166,15 +157,11 @@ pub struct Db<B: PersistBackend> {
     shared_seq: Option<Arc<AtomicU64>>,
 }
 
-/// One not-yet-mirrored view mutation: `(key, Some(value))` for a set,
-/// `(key, None)` for a delete.
-type PendingViewOp = (Arc<[u8]>, Option<Arc<[u8]>>);
-
 impl<B: PersistBackend> Db<B> {
     /// Creates an empty database over `backend`.
     pub fn new(backend: B, cfg: DbConfig) -> Self {
         Db {
-            map: HashMap::default(),
+            index: ReadView::new().0,
             backend,
             cfg,
             wal_buf: WalBuffer::new(),
@@ -185,10 +172,7 @@ impl<B: PersistBackend> Db<B> {
             retained_mem: 0,
             peak_mem: 0,
             stats: DbStats::default(),
-            view: None,
             wal_tap: None,
-            view_pending: Vec::new(),
-            view_pending_bytes: 0,
             shared_seq: None,
         }
     }
@@ -228,12 +212,12 @@ impl<B: PersistBackend> Db<B> {
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// True when the keyspace is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// Approximate resident memory: live data plus CoW-retained bytes.
@@ -247,12 +231,12 @@ impl<B: PersistBackend> Db<B> {
     }
 
     /// Memory the resource governor holds the engine accountable for:
-    /// live keyspace bytes, CoW-retained snapshot bytes, records sitting
-    /// in the user-level WAL buffer, and mutations staged for (but not
-    /// yet published to) the concurrent read view. This is the figure
-    /// `--maxmemory` compares against — every pool a write can grow.
+    /// live keyspace bytes (published or not), CoW-retained snapshot
+    /// bytes, and records sitting in the user-level WAL buffer. This is
+    /// the figure `--maxmemory` compares against — every pool a write can
+    /// grow.
     pub fn mem_governed(&self) -> u64 {
-        self.base_mem + self.retained_mem + self.wal_buf.len() as u64 + self.view_pending_bytes
+        self.base_mem + self.retained_mem + self.wal_buf.len() as u64
     }
 
     /// Backend access (diagnostics, crash injection in tests).
@@ -279,10 +263,10 @@ impl<B: PersistBackend> Db<B> {
         self.peak_mem = self.peak_mem.max(self.mem_used());
     }
 
-    /// `GET key`.
+    /// `GET key`: the engine's newest value, published or not.
     pub fn get(&mut self, key: &[u8]) -> Option<Arc<[u8]>> {
         self.stats.gets += 1;
-        let v = self.map.get(key).cloned();
+        let v = self.index.get(key).cloned();
         if v.is_some() {
             self.stats.hits += 1;
         }
@@ -300,43 +284,20 @@ impl<B: PersistBackend> Db<B> {
         })
     }
 
-    /// Installs a concurrent read view mirroring the current keyspace and
-    /// returns the shared half for reader registration. From here on,
-    /// every keyspace mutation is queued for the view and made visible to
-    /// readers by the next [`Db::publish_view`]. Only the live server
-    /// calls this; the simulated pipeline keeps `view` unset, so nothing
-    /// here affects DES results.
-    pub fn install_view(&mut self) -> Arc<ReadView> {
-        let (mut writer, view) = ReadView::new();
-        for (k, v) in self.map.iter() {
-            writer.set(k, v);
-        }
-        writer.publish(self.seq);
-        self.view = Some(writer);
-        self.view_pending.clear();
-        self.view_pending_bytes = 0;
-        view
+    /// The shared half of the keyspace index, for lock-free readers to
+    /// register with.
+    pub fn read_view(&self) -> Arc<ReadView> {
+        Arc::clone(self.index.view())
     }
 
-    /// Mirrors all keyspace mutations since the last publish into the
-    /// read view and publishes the current engine sequence. The live
+    /// Makes every keyspace mutation since the last publish visible to
+    /// lock-free readers, under the current engine sequence. The live
     /// server calls this after each batch's group commit and *before*
     /// releasing the batch's replies, so an acked write is always
     /// published (read-your-writes) and always durable per policy.
-    /// Returns the published sequence; a no-op without a view.
+    /// Returns the published sequence.
     pub fn publish_view(&mut self) -> u64 {
-        if let Some(writer) = self.view.as_mut() {
-            for (k, v) in self.view_pending.drain(..) {
-                match v {
-                    Some(v) => writer.set(&k, &v),
-                    None => writer.del(&k),
-                }
-            }
-            writer.publish(self.seq);
-        } else {
-            self.view_pending.clear();
-        }
-        self.view_pending_bytes = 0;
+        self.index.publish(self.seq);
         self.seq
     }
 
@@ -350,13 +311,7 @@ impl<B: PersistBackend> Db<B> {
         let seq = self.next_seq();
         self.wal_buf.push_set(seq, key, value);
 
-        let k: Arc<[u8]> = key.into();
-        let v: Arc<[u8]> = value.into();
-        if self.view.is_some() {
-            self.view_pending.push((k.clone(), Some(v.clone())));
-            self.view_pending_bytes += (key.len() + value.len()) as u64;
-        }
-        let cow_retained = self.put(k, v);
+        let cow_retained = self.put(key.into(), value.into());
         self.bump_peak();
         cow_retained
     }
@@ -366,7 +321,7 @@ impl<B: PersistBackend> Db<B> {
     /// keyspace changes: live writes and recovery both apply through it.
     fn put(&mut self, key: Arc<[u8]>, value: Arc<[u8]>) -> u64 {
         let (klen, vlen) = (key.len() as u64, value.len() as u64);
-        match self.map.insert(key, value) {
+        match self.index.set(&key, &value) {
             Some(old) => {
                 self.base_mem -= old.len() as u64;
                 self.base_mem += vlen;
@@ -382,7 +337,7 @@ impl<B: PersistBackend> Db<B> {
     /// Removes a key, keeping `base_mem` in step. Returns the CoW bytes
     /// newly retained, or `None` when the key was absent.
     fn remove(&mut self, key: &[u8]) -> Option<u64> {
-        let old = self.map.remove(key)?;
+        let old = self.index.del(key)?;
         self.base_mem -= (key.len() + old.len()) as u64 + self.cfg.entry_overhead;
         Some(self.retain_cow(&old))
     }
@@ -429,10 +384,6 @@ impl<B: PersistBackend> Db<B> {
         };
         let seq = self.next_seq();
         self.wal_buf.push_del(seq, key);
-        if self.view.is_some() {
-            self.view_pending.push((key.into(), None));
-            self.view_pending_bytes += key.len() as u64;
-        }
         self.bump_peak();
         (cow_retained, true)
     }
@@ -455,6 +406,18 @@ impl<B: PersistBackend> Db<B> {
     /// commit (Always) still owes the buffer a flush.
     pub fn wal_buffered_bytes(&self) -> usize {
         self.wal_buf.len()
+    }
+
+    /// When the Periodical flush timer owes the buffered records their
+    /// flush ([`Db::tick`] at or after this instant performs it); `None`
+    /// under `Always` or with nothing buffered.
+    pub fn flush_due_at(&self) -> Option<SimTime> {
+        match self.cfg.policy {
+            LogPolicy::Periodical { flush_interval } if !self.wal_buf.is_empty() => {
+                Some(self.last_flush + flush_interval)
+            }
+            _ => None,
+        }
     }
 
     /// Flush, then sync what was flushed: per command under `Always`, once
@@ -511,7 +474,7 @@ impl<B: PersistBackend> Db<B> {
     /// `Arc` clones of every live key (replica full-reset bookkeeping:
     /// the keys to delete before loading a primary's snapshot).
     pub fn keys(&self) -> Vec<Arc<[u8]>> {
-        self.map.keys().cloned().collect()
+        self.index.iter().map(|(k, _)| Arc::clone(k)).collect()
     }
 
     /// `Arc` clones of every entry, sorted by key — the unit a server
@@ -520,7 +483,7 @@ impl<B: PersistBackend> Db<B> {
     /// ([`serialize_entries`]) spanning the whole keyspace.
     pub fn sorted_entries(&self) -> Vec<Entry> {
         let mut entries: Vec<_> = self
-            .map
+            .index
             .iter()
             .map(|(k, v)| (Arc::clone(k), Arc::clone(v)))
             .collect();
@@ -543,7 +506,7 @@ impl<B: PersistBackend> Db<B> {
         // view and the rotated WAL generation line up exactly.
         self.flush_wal(now)?;
         self.backend.snapshot_begin(kind, now)?;
-        let job = SnapshotJob::freeze(kind, self.map.iter(), self.cfg.snapshot_chunk);
+        let job = SnapshotJob::freeze(kind, self.index.iter(), self.cfg.snapshot_chunk);
         self.snapshot = Some(job);
         self.bump_peak();
         Ok(())
@@ -639,6 +602,7 @@ impl<B: PersistBackend> Db<B> {
             };
         }
         db.bump_peak();
+        db.publish_view();
         Ok((db, seqs.len() as u64, seqs))
     }
 }
@@ -1037,28 +1001,75 @@ mod tests {
     }
 
     #[test]
-    fn governed_memory_counts_wal_buffer_and_staged_view_ops() {
+    fn governed_memory_counts_wal_buffer() {
         let mut db = file_db(LogPolicy::Always);
-        let _view = db.install_view();
         let base = db.mem_governed();
         db.set_queued(b"key", &vec![9u8; 1000]);
         // Queued but uncommitted: the governed figure must already see the
-        // keyspace bytes, the WAL-buffered record, and the staged view op.
+        // keyspace bytes and the WAL-buffered record.
         let staged = db.mem_governed();
         assert!(
             staged >= base + 2 * 1000,
-            "governed memory must count WAL buffer + staged view bytes: {base} -> {staged}"
+            "governed memory must count keyspace + WAL buffer: {base} -> {staged}"
         );
         assert!(
             staged > db.mem_used(),
             "governed view exceeds keyspace-only"
         );
         db.batch_commit(SimTime::ZERO).unwrap();
-        db.publish_view();
-        // Commit + publish drains both transient pools.
+        // The commit drains the transient pool.
         let settled = db.mem_governed();
         assert!(settled < staged);
         assert_eq!(settled, db.mem_used());
+    }
+
+    /// The engine reads its own queued writes at once (DEL's existence
+    /// check, the writer-routed GET, `len`, a mid-batch snapshot); a
+    /// lock-free reader sees them only once the batch is published.
+    #[test]
+    fn queued_writes_reach_readers_only_at_publish() {
+        let mut db = file_db(LogPolicy::Always);
+        let reader = db.read_view().register().expect("slot");
+        db.set(b"k", b"old", SimTime::ZERO).unwrap();
+        db.set(b"doomed", b"d", SimTime::ZERO).unwrap();
+        assert_eq!(reader.get(b"k").as_deref(), Some(&b"old"[..]));
+
+        db.set_queued(b"k", b"mid");
+        db.set_queued(b"k", b"new");
+        db.set_queued(b"fresh", b"f");
+        assert_eq!(db.del_queued(b"doomed"), (0, true));
+        assert_eq!(db.del_queued(b"doomed"), (0, false));
+        assert_eq!(db.get(b"k").as_deref(), Some(&b"new"[..]));
+        assert_eq!((db.len(), db.get(b"doomed")), (2, None));
+        assert_eq!(reader.get(b"k").as_deref(), Some(&b"old"[..]));
+        assert_eq!(reader.get(b"fresh"), None);
+        assert_eq!(reader.get(b"doomed").as_deref(), Some(&b"d"[..]));
+        // A snapshot forked mid-batch freezes the engine's state, not the
+        // readers'.
+        db.snapshot_begin(SnapshotKind::OnDemand, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(db.snapshot.as_ref().unwrap().total_entries(), 2);
+
+        db.batch_commit(SimTime::ZERO).unwrap();
+        let seq = db.publish_view();
+        assert_eq!(reader.published(), seq);
+        assert_eq!(reader.get(b"k").as_deref(), Some(&b"new"[..]));
+        assert_eq!(reader.get(b"fresh").as_deref(), Some(&b"f"[..]));
+        assert_eq!(reader.get(b"doomed"), None);
+    }
+
+    #[test]
+    fn recovery_publishes_the_recovered_keyspace() {
+        let mut db = file_db(LogPolicy::Always);
+        db.set(b"a", b"1", SimTime::ZERO).unwrap();
+        db.set(b"b", b"2", SimTime::ZERO).unwrap();
+        db.del(b"a", SimTime::ZERO).unwrap();
+        let (db2, _) = Db::recover(db.into_backend(), DbConfig::default(), SimTime::ZERO).unwrap();
+        let view = db2.read_view();
+        let reader = view.register().expect("slot");
+        assert_eq!(view.published(), db2.seq());
+        assert_eq!(reader.get(b"a"), None);
+        assert_eq!(reader.get(b"b").as_deref(), Some(&b"2"[..]));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Concurrency stress tests for the seqlock/epoch read view.
+//! Concurrency stress tests for the seqlock/epoch keyspace index.
 //!
 //! The writer thread mutates and publishes while reader threads hammer
 //! `get`/`contains` the whole time. The properties checked are exactly
-//! the ones the seqlock + epoch protocol promises:
+//! the ones the seqlock + epoch + publish protocol promises:
 //!
 //! - **No torn reads.** A reader never observes a key paired with a
 //!   value written for a different key, and never observes a
@@ -13,14 +13,17 @@
 //!   never later sees `r' < r` for the same key (slot coherence inside
 //!   a table, seqlock validation across resizes).
 //! - **Publish bound.** A round number observed in a value is never
-//!   greater than the highest round the writer has finished applying
-//!   (readers may see unpublished-but-applied values, never future
-//!   ones).
+//!   greater than the round `published()` reports *after* the read: a
+//!   reader never sees a value from a batch that is applied but not yet
+//!   published.
+//! - **Read-your-writes.** Once the writer has acked a round (published
+//!   it, then told the readers), no read returns an older one.
 //! - **Quiescent agreement.** After the writer finishes, every reader
 //!   agrees with the final map contents.
 //!
 //! The churn test adds deletes and reinserts so the table goes through
-//! tombstone purges and doubling resizes under concurrent readers.
+//! deleted-entry purges and doubling resizes under concurrent readers,
+//! under the same publish bound.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,8 +56,8 @@ fn parse_val(b: &[u8]) -> (u64, usize) {
 }
 
 /// Write-heavy overwrite loop: every round rewrites all keys and
-/// publishes, while readers check pairing, monotonicity, and the
-/// applied-round upper bound on every single read.
+/// publishes under the round number, while readers check pairing,
+/// monotonicity, and both publish bounds on every single read.
 #[test]
 fn seqlock_readers_never_observe_torn_or_stale_values() {
     let rounds: u64 = if std::env::var("SLIMIO_STRESS").is_ok() {
@@ -68,16 +71,16 @@ fn seqlock_readers_never_observe_torn_or_stale_values() {
     for j in 0..KEYS {
         writer.set(&key(j), &val(0, j));
     }
-    writer.publish(1);
-    // Highest round the writer has *started* applying; no value with a
-    // greater round can exist yet.
-    let applied = Arc::new(AtomicU64::new(0));
+    writer.publish(0);
+    // Highest round the writer has published *and then* announced — what
+    // an ack is to a connection.
+    let acked = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
 
     let readers: Vec<_> = (0..READERS)
         .map(|t| {
             let view = Arc::clone(&view);
-            let applied = Arc::clone(&applied);
+            let acked = Arc::clone(&acked);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let reader = view.register().expect("reader slot");
@@ -86,7 +89,9 @@ fn seqlock_readers_never_observe_torn_or_stale_values() {
                 while !stop.load(Ordering::Acquire) {
                     for (j, last) in last_seen.iter_mut().enumerate() {
                         let k = key(j);
+                        let own_ack = acked.load(Ordering::Acquire);
                         let v = reader.get(&k).expect("seeded key vanished");
+                        let published = reader.published();
                         let (r, kj) = parse_val(&v);
                         assert_eq!(kj, j, "reader {t}: torn read — key {j} paired with {kj}");
                         assert!(
@@ -94,8 +99,12 @@ fn seqlock_readers_never_observe_torn_or_stale_values() {
                             "reader {t}: key {j} went backwards ({r} after {last})"
                         );
                         assert!(
-                            r <= applied.load(Ordering::Acquire),
-                            "reader {t}: key {j} shows round {r} the writer never applied"
+                            r <= published,
+                            "reader {t}: key {j} shows round {r}, published is {published}"
+                        );
+                        assert!(
+                            r >= own_ack,
+                            "reader {t}: key {j} shows round {r} after the ack of {own_ack}"
                         );
                         *last = r;
                         assert!(reader.contains(&k));
@@ -108,11 +117,11 @@ fn seqlock_readers_never_observe_torn_or_stale_values() {
         .collect();
 
     for r in 1..=rounds {
-        applied.store(r, Ordering::Release);
         for j in 0..KEYS {
             writer.set(&key(j), &val(r, j));
         }
-        writer.publish(r + 1);
+        writer.publish(r);
+        acked.store(r, Ordering::Release);
     }
     stop.store(true, Ordering::Release);
 
@@ -131,14 +140,15 @@ fn seqlock_readers_never_observe_torn_or_stale_values() {
     for j in 0..KEYS {
         assert_eq!(reader.get(&key(j)).as_deref(), Some(&*val(rounds, j)));
     }
-    assert_eq!(view.published(), rounds + 1);
+    assert_eq!(view.published(), rounds);
 }
 
 /// Insert/delete churn across many more keys than the initial table
-/// capacity: the table doubles and purges tombstones repeatedly while
-/// readers probe. Deleted keys may be observed either present (old
-/// version) or absent, but a present value must always be well-formed
-/// and correctly paired.
+/// capacity: the table doubles and purges deleted keys' entries
+/// repeatedly while readers probe. Deleted keys may be observed either
+/// present (old version) or absent, but a present value must always be
+/// well-formed, correctly paired, and from a published batch — values
+/// carry the publish sequence their batch goes out under.
 #[test]
 fn resize_and_tombstone_churn_under_concurrent_readers() {
     const CHURN_KEYS: usize = 4096;
@@ -156,8 +166,13 @@ fn resize_and_tombstone_churn_under_concurrent_readers() {
                 while !stop.load(Ordering::Acquire) {
                     for j in (t..CHURN_KEYS).step_by(READERS) {
                         if let Some(v) = reader.get(&key(j)) {
-                            let (_, kj) = parse_val(&v);
+                            let published = reader.published();
+                            let (seq, kj) = parse_val(&v);
                             assert_eq!(kj, j, "reader {t}: torn read during churn");
+                            assert!(
+                                seq <= published,
+                                "reader {t}: key {j} from batch {seq}, published is {published}"
+                            );
                             hits += 1;
                         }
                         probes += 1;
@@ -168,13 +183,15 @@ fn resize_and_tombstone_churn_under_concurrent_readers() {
         })
         .collect();
 
-    // Three waves: fill, delete every other key (tombstones), refill at
-    // a later round. Interleaved publishes keep the epoch advancing so
-    // retired tables and entries actually get reclaimed mid-run.
+    // Three waves: fill, delete every other key, refill in later
+    // batches. Interleaved publishes keep the epoch advancing so retired
+    // tables and entries actually get reclaimed mid-run.
     let mut seq = 0u64;
-    for wave in 0..3u64 {
+    let mut wave_start = 0u64;
+    for _wave in 0..3 {
+        wave_start = seq + 1;
         for j in 0..CHURN_KEYS {
-            writer.set(&key(j), &val(wave * 2, j));
+            writer.set(&key(j), &val(seq + 1, j));
             if j % 64 == 63 {
                 seq += 1;
                 writer.publish(seq);
@@ -199,11 +216,13 @@ fn resize_and_tombstone_churn_under_concurrent_readers() {
     }
     assert!(total_probes > 0, "readers never ran");
 
-    // Quiescent: odd keys live at the final wave's round, even deleted.
+    // Quiescent: odd keys live, as the final wave filled them; even
+    // deleted.
     let reader = view.register().expect("reader slot");
     for j in 0..CHURN_KEYS {
         if j % 2 == 1 {
-            assert_eq!(reader.get(&key(j)).as_deref(), Some(&*val(4, j)), "key {j}");
+            let (batch, kj) = parse_val(&reader.get(&key(j)).expect("odd keys live"));
+            assert!(kj == j && batch >= wave_start, "key {j} holds {batch}:{kj}");
         } else {
             assert_eq!(reader.get(&key(j)), None, "deleted key {j} resurrected");
             assert!(!reader.contains(&key(j)));

@@ -80,7 +80,7 @@ impl Writer {
                 // Raised on the shared state so *every* shard writer
                 // (not just this dispatching one) honors it.
                 self.shared.nosave.store(nosave, Ordering::SeqCst);
-                self.shared.stop.store(true, Ordering::SeqCst);
+                self.shared.raise_stop();
                 Value::ok()
             }
             _ => Value::err(format!(

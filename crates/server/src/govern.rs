@@ -250,6 +250,17 @@ impl Governor {
         gate.freed.notify_all();
     }
 
+    /// Wakes every parked admission so it re-checks its `stopping` flag
+    /// now. Raise the flag first: passing through each gate's lock orders
+    /// the wake-up after any waiter's last look at the flag, so none can
+    /// miss both.
+    pub(crate) fn wake_parked(&self) {
+        for gate in &self.gates {
+            drop(lock_ok(&gate.depth));
+            gate.freed.notify_all();
+        }
+    }
+
     /// Current depth of one shard's gate.
     pub(crate) fn shard_depth(&self, shard: usize) -> usize {
         *lock_ok(&self.gates[shard].depth)
@@ -333,8 +344,10 @@ mod tests {
         let (g2, stop2) = (Arc::clone(&g), Arc::clone(&stop));
         let waiter = std::thread::spawn(move || g2.admit(0, &stop2));
         std::thread::sleep(Duration::from_millis(20));
+        // What `Shared::raise_stop` does. No slot frees, and the park is a
+        // minute long: a stop that fails to wake the waiter hangs visibly.
         stop.store(true, Ordering::SeqCst);
-        g.release(0, 0); // no slots — the waiter must notice `stop` on its own
+        g.wake_parked();
         assert!(!waiter.join().unwrap(), "stop must refuse, not hang");
     }
 

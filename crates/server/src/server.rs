@@ -4,7 +4,7 @@
 //! Architecture (a sharded generalization of Redis' single-threaded
 //! *write* semantics): per-connection reader threads parse RESP2 frames
 //! in place from a reusable read buffer. The keyspace is split across
-//! `--shards N` writer threads by [`shard_of`] (FxHash of the key); each
+//! `--shards N` writer threads by [`shard_of`] (the key hash); each
 //! writer owns a full `Db<AnyBackend>` over its own disjoint LBA
 //! sub-layout, its own FDP placement IDs, its own slice of the
 //! admission governor, and its own group-commit batch. Write and admin
@@ -59,7 +59,6 @@
 //! control plane shard 0's writer carries — INFO, CONFIG, DEBUG, SLOWLOG,
 //! LATENCY, BGSAVE broadcast, keyspace gathers, PSYNC handoff, REPLICAOF.
 
-use std::hash::Hasher;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -68,7 +67,7 @@ use std::time::{Duration, Instant};
 
 use slimio_imdb::backend::SnapshotKind;
 use slimio_imdb::engine::DbError;
-use slimio_imdb::fxhash::FxHasher;
+use slimio_imdb::fxhash::hash_key;
 use slimio_imdb::wal::WalRecord;
 use slimio_imdb::{Db, DbConfig, Entry, LogPolicy};
 use slimio_metrics::{Counter, IntGauge};
@@ -128,30 +127,18 @@ pub(crate) fn recv_polling<T>(
 /// command touches into a `u16` bitmask.
 pub(crate) const MAX_SHARDS: usize = 16;
 
-/// The shard that owns `key`: avalanched FxHash modulo the shard
+/// The shard that owns `key`: the engine's key hash modulo the shard
 /// count. Every layer — connection routing, replica link re-sharding,
 /// tests — must agree on this function, and a key's shard never changes
 /// while the shard count holds, which is what makes per-key ordering a
-/// per-shard property.
-///
-/// The avalanche step matters: FxHash's word loop ends in a multiply,
-/// so the low k bits of the raw hash depend only on the low k bits of
-/// the last input word. Keys that differ only in their middle bytes —
-/// the bench client's `key:000000001234` format, where the final
-/// 8-byte word always starts with '0' — would all reduce to the same
-/// shard. The xor-multiply finalizer (Murmur3's fmix64) spreads every
-/// input byte across the low bits before the modulo.
+/// per-shard property. (The hash is avalanched, so the modulo spreads
+/// keys that differ only in their middle bytes — see
+/// [`slimio_imdb::fxhash`].)
 pub(crate) fn shard_of(key: &[u8], shards: usize) -> usize {
     if shards == 1 {
         return 0;
     }
-    let mut h = FxHasher::default();
-    h.write(key);
-    let mut x = h.finish();
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    (x as usize) % shards
+    (hash_key(key) as usize) % shards
 }
 
 /// Server tuning knobs.
@@ -272,6 +259,14 @@ impl Shared {
     pub(crate) fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst) || self.kill.load(Ordering::SeqCst)
     }
+
+    /// Requests a clean stop — the one way `stop` is raised — and wakes
+    /// every connection thread parked at an admission gate, so none rides
+    /// out its `admit_park` deadline on a server that is already leaving.
+    pub(crate) fn raise_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.gov.wake_parked();
+    }
 }
 
 /// One unit of work in flight to the writer thread. Command replies
@@ -371,7 +366,7 @@ impl ServerHandle {
     /// Stops cleanly: finishes any active snapshot, flushes and syncs the
     /// WAL, and returns the store for a later restart.
     pub fn shutdown(self) -> Store {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.raise_stop();
         self.teardown(false)
     }
 
@@ -380,7 +375,7 @@ impl ServerHandle {
     /// durable (synced) state, exactly like power loss.
     pub fn kill(self) -> Store {
         self.shared.kill.store(true, Ordering::SeqCst);
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.raise_stop();
         self.teardown(true)
     }
 
@@ -402,7 +397,7 @@ impl ServerHandle {
             .into_iter()
             .map(|w| w.join().expect("writer thread panicked"))
             .collect();
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.raise_stop();
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }
@@ -473,10 +468,9 @@ impl Server {
         for db in &mut dbs {
             db.set_shared_seq(Arc::clone(&counter));
         }
-        // Install the concurrent read views over the recovered keyspace
-        // before any connection is accepted, so readers never observe a
-        // pre-recovery view.
-        let views: Vec<_> = dbs.iter_mut().map(|db| db.install_view()).collect();
+        // Recovery published each recovered keyspace, so no reader ever
+        // observes a pre-recovery view.
+        let views: Vec<_> = dbs.iter().map(Db::read_view).collect();
 
         let listener = TcpListener::bind(&opts.addr).map_err(ServerError::Io)?;
         listener.set_nonblocking(true).map_err(ServerError::Io)?;
@@ -626,4 +620,31 @@ fn check_merged_recovery(seq_lists: &[Vec<u64>]) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The key → shard mapping is part of the on-device format: a restart
+    /// finds a key's records in the WAL region of the shard this function
+    /// names. Pinned to the values existing multi-shard stores were
+    /// written with.
+    #[test]
+    fn shard_of_is_pinned() {
+        let pinned: [(&[u8], usize, usize); 8] = [
+            (b"key:000000000001", 0, 2),
+            (b"key:000000001234", 0, 0),
+            (b"key:000000049999", 0, 0),
+            (b"key:000000200000", 1, 1),
+            (b"a", 0, 2),
+            (b"user:42", 1, 1),
+            (b"the quick brown fox", 1, 3),
+            (b"k\0bin\xff", 1, 3),
+        ];
+        for (key, of2, of4) in pinned {
+            assert_eq!((shard_of(key, 2), shard_of(key, 4)), (of2, of4), "{key:?}");
+            assert_eq!(shard_of(key, 1), 0);
+        }
+    }
 }

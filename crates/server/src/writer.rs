@@ -45,6 +45,15 @@ const BUSY_STEP_EVERY: u32 = 4;
 /// 100 ms read timeout, so one idle window this long means the queue is
 /// truly dry.
 const SHUTDOWN_DRAIN_IDLE: Duration = Duration::from_millis(150);
+/// Longest the writer parks on its queue before re-checking `stop`.
+const IDLE_POLL: Duration = Duration::from_millis(100);
+/// Shortest such park: a flush already due is ticked without spinning.
+const MIN_POLL: Duration = Duration::from_millis(1);
+/// Most bytes `everysec` leaves in the engine's user-level WAL buffer
+/// between interval flushes. Without a bound the buffer holds one
+/// interval of records at whatever rate they arrive — tens of MiB that
+/// are then copied twice more on their way to the device.
+const WAL_BUFFER_CAP: usize = 1 << 20;
 
 /// The reply (and "nothing to commit") for a request that landed behind
 /// a `SHUTDOWN` in its batch.
@@ -134,12 +143,12 @@ impl Writer {
                 return self.db.into_backend();
             }
             // First request of a batch. Pump the snapshot while the queue
-            // is empty; otherwise park on the channel — in millisecond
-            // slices while the Periodical flush timer owes buffered WAL
-            // bytes a flush, else long enough that an idle server burns
-            // no CPU. The writer holds its own sender clone (for link
-            // threads), so teardown's sender drop can never surface as a
-            // disconnect here: every slice ends in a `stop` check.
+            // is empty; otherwise park on the channel — until the
+            // Periodical flush timer owes buffered WAL bytes their flush,
+            // and never longer than the idle poll. The writer holds its
+            // own sender clone (for link threads), so teardown's sender
+            // drop can never surface as a disconnect here: every slice
+            // ends in a `stop` check.
             let first = if self.db.snapshot_active() {
                 match self.rx.try_recv() {
                     Ok(r) => Some(r),
@@ -150,15 +159,15 @@ impl Writer {
                     Err(mpsc::TryRecvError::Disconnected) => None,
                 }
             } else {
-                let ticking = self.flush_timer_pending();
-                let slice = Duration::from_millis(if ticking { 1 } else { 100 });
+                let flush_due_in = self.flush_due_in();
+                let slice = flush_due_in.map_or(IDLE_POLL, |d| d.clamp(MIN_POLL, IDLE_POLL));
                 match self.rx.recv_timeout(slice) {
                     Ok(r) => Some(r),
                     Err(mpsc::RecvTimeoutError::Timeout) => {
                         if self.shared.stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        if ticking {
+                        if flush_due_in.is_some() {
                             let now = self.now();
                             let _ = self.db.tick(now);
                             // A timer-driven flush ships its records too.
@@ -324,9 +333,9 @@ impl Writer {
             // Publish the batch's keyspace mutations into the read view
             // *before* releasing any reply: a connection that sees an ack
             // must already be able to read its own write locally. (On
-            // commit failure the map was still mutated, matching the
-            // engine's existing semantics, so the view publishes either
-            // way — it mirrors the map, not the WAL.)
+            // commit failure the keyspace was still mutated, matching the
+            // engine's existing semantics, so the batch publishes either
+            // way — readers follow the keyspace, not the WAL.)
             let published_seq = self.db.publish_view();
             // Publish this shard's slot (engine levels, published
             // sequence, batch size) and mirror the cross-shard governed
@@ -478,12 +487,14 @@ impl Writer {
         Ok(())
     }
 
-    /// True when the Periodical flush timer owes buffered WAL bytes a
-    /// flush, so the first-request wait must keep polling `tick` instead
-    /// of parking on the channel.
-    fn flush_timer_pending(&self) -> bool {
-        matches!(self.db.config().policy, LogPolicy::Periodical { .. })
-            && self.db.wal_buffered_bytes() > 0
+    /// How long until the Periodical flush timer owes buffered WAL bytes
+    /// their flush — the first-request wait must end by then and `tick`.
+    /// `None` when nothing is owed.
+    fn flush_due_in(&self) -> Option<Duration> {
+        let due = self.db.flush_due_at()?;
+        Some(Duration::from_nanos(
+            due.saturating_sub(self.now()).as_nanos(),
+        ))
     }
 
     /// The batch's single commit point. Under `Always` this issues the
@@ -491,7 +502,10 @@ impl Writer {
     /// flushes the buffer as a side effect of forking, and those records
     /// still need this sync before their acks may be released. Under
     /// `Periodical` the flush — and the sync of what it flushed — stays
-    /// interval-gated inside the engine, as in the paper.
+    /// interval-gated inside the engine, as in the paper, until the
+    /// buffer reaches [`WAL_BUFFER_CAP`]: that batch commits like an
+    /// `Always` one, which is strictly stronger than `everysec` asks
+    /// (Redis `write()`s every loop and defers only the fsync).
     ///
     /// Returns the commit's wall-clock cost split at the flush/sync
     /// boundary — the `wal_append` and `device_sync` telemetry stages.
@@ -505,8 +519,10 @@ impl Writer {
         let stall0 = stall(&self.db);
         let t_flush = Instant::now();
         let sync_from = match self.db.config().policy {
-            LogPolicy::Always => Some(self.db.flush_wal(now)?.done_at),
-            LogPolicy::Periodical { .. } => self.db.batch_commit(now).map(|_| None)?,
+            LogPolicy::Periodical { .. } if self.db.wal_buffered_bytes() < WAL_BUFFER_CAP => {
+                self.db.batch_commit(now).map(|_| None)?
+            }
+            _ => Some(self.db.flush_wal(now)?.done_at),
         };
         let flush_ns = dur_ns(t_flush.elapsed());
         let flush_stall_ns = stall(&self.db).saturating_sub(stall0);

@@ -14,7 +14,7 @@ use slimio_server::resp::{self, Parser, Value};
 use slimio_server::{BackendKind, Server, ServerHandle, ServerOpts};
 
 mod common;
-use common::{info_field, send, store_for};
+use common::{batch, cmd, info_field, send, store_for};
 
 const RATIO: f64 = 1.0 / 64.0;
 
@@ -333,6 +333,72 @@ fn group_commit_preserves_reply_order_within_connection() {
             Value::bulk(format!("v{i}").as_bytes()),
             "round {i}: GET did not observe the SET pipelined just before it"
         );
+    }
+    handle.shutdown();
+}
+
+/// `appendfsync everysec` with an interval that never elapses here: the
+/// user-level WAL buffer must still stay bounded — the writer commits a
+/// batch like an `Always` one once the buffer reaches its cap — and what
+/// a cap flushed must have been synced too, so a kill keeps it. Without
+/// the cap all 8 MiB sit in the buffer and the restart recovers nothing.
+#[test]
+fn everysec_wal_buffer_is_capped_and_cap_flushes_are_synced() {
+    const WRITES: usize = 2048;
+    const KEYS: usize = 16;
+    const VAL: usize = 4096;
+    /// The writer's cap plus one full batch on top of it.
+    const BUFFER_BOUND: usize = (1 << 20) + 128 * (VAL + 64);
+    let opts = ServerOpts {
+        policy: LogPolicy::Periodical {
+            flush_interval: slimio_des::SimTime::from_secs(3600),
+        },
+        ..ServerOpts::default()
+    };
+    let handle =
+        Server::start(store_for(BackendKind::Passthru, RATIO), opts.clone()).expect("start");
+    let port = handle.port();
+
+    // 8 MiB of SETs over a tiny keyspace, so governed memory is the
+    // buffer and little else. Each value leads with its write index.
+    let key = |i: usize| format!("cap:{:02}", i % KEYS).into_bytes();
+    let cmds: Vec<_> = (0..WRITES)
+        .map(|i| {
+            let mut val = format!("{i:08}").into_bytes();
+            val.resize(VAL, b'.');
+            cmd(&[b"SET", &key(i), &val])
+        })
+        .collect();
+    for reply in batch(port, &cmds) {
+        assert_eq!(reply, Value::ok());
+    }
+    let peak: usize = info_field(port, "engine_peak_bytes")
+        .expect("INFO engine_peak_bytes")
+        .parse()
+        .unwrap();
+    assert!(
+        peak < KEYS * (VAL + 128) + BUFFER_BOUND,
+        "governed memory peaked at {peak} B: the everysec buffer is not bounded"
+    );
+
+    let handle = Server::start(handle.kill(), opts).expect("restart");
+    let port = handle.port();
+    let index_of = |k: usize| match send(port, &[b"GET", &key(k)]) {
+        Value::Bulk(v) => Some(std::str::from_utf8(&v[..8]).unwrap().parse().unwrap()),
+        Value::Null => None,
+        other => panic!("GET -> {other:?}"),
+    };
+    let recovered: Vec<Option<usize>> = (0..KEYS).map(index_of).collect();
+    let newest = recovered.iter().flatten().copied().max().unwrap_or(0);
+    assert!(
+        newest + BUFFER_BOUND / VAL >= WRITES,
+        "write {newest} of {WRITES} is the newest recovered: cap flushes were not synced"
+    );
+    // And it is a prefix: each key holds its last write at or before
+    // `newest`.
+    for (k, got) in recovered.iter().enumerate() {
+        let want = (0..=newest).rev().find(|i| i % KEYS == k);
+        assert_eq!(*got, want, "key {k} after recovering up to write {newest}");
     }
     handle.shutdown();
 }
