@@ -11,7 +11,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use slimio::PassthruBackend;
@@ -23,7 +22,7 @@ use slimio_imdb::rdb::RdbWriter;
 use slimio_imdb::wal::{decode, encode, WalRecord};
 use slimio_imdb::{Db, DbConfig, LogPolicy};
 use slimio_metrics::Histogram;
-use slimio_nvme::{DeviceConfig, NvmeDevice};
+use slimio_nvme::{DeviceConfig, DeviceHandle, NvmeDevice};
 use slimio_server::{BackendKind, Store, StoreConfig};
 use slimio_uring::{spsc, IoUring, RingMode, SharedClock, Sqe, SqeOp};
 use slimio_workload::Zipfian;
@@ -180,11 +179,11 @@ fn bench_spsc(h: &Harness) {
 /// ring left alone for longer pays once.
 fn bench_uring(h: &Harness) {
     let ring = |mode| {
-        let dev = NvmeDevice::new(DeviceConfig {
+        let dev = DeviceHandle::new(DeviceConfig {
             store_data: false,
             ..DeviceConfig::tiny(PlacementMode::Conventional)
         });
-        IoUring::new(Arc::new(Mutex::new(dev)), SharedClock::new(), 64, mode)
+        IoUring::new(dev, SharedClock::new(), 64, mode)
     };
     let round = |ring: &mut IoUring, i: u64| {
         let op = SqeOp::Write {
@@ -341,10 +340,7 @@ fn bench_metrics(h: &Harness) {
 fn bench_group_commit(h: &Harness) {
     let value = vec![b'v'; 64];
     for batch in [1u64, 4, 16, 64] {
-        let device = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::live(
-            true,
-            1.0 / 128.0,
-        ))));
+        let device = DeviceHandle::new(DeviceConfig::live(true, 1.0 / 128.0));
         let mut db = Db::new(
             PassthruBackend::new(device, SharedClock::new()),
             DbConfig {

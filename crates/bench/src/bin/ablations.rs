@@ -13,7 +13,6 @@
 //! cargo run --release -p slimio-bench --bin ablations
 //! ```
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use slimio_bench::{maybe_write_perf, run_cells, Cli, PerfCell};
@@ -25,7 +24,6 @@ use slimio_nvme::{DeviceConfig, NvmeDevice};
 use slimio_system::experiment::periodical;
 use slimio_system::{Experiment, StackKind, WorkloadKind};
 use slimio_uring::PassthruCosts;
-use std::sync::Mutex;
 
 fn main() {
     let cli = Cli::parse();
@@ -61,19 +59,18 @@ fn main() {
             t.row([format!("{ru_mb} MiB"), "-".into(), "n/a".into(), "-".into()]);
             continue;
         }
-        let dev = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig {
+        let mut dev = NvmeDevice::new(DeviceConfig {
             ftl: cfg,
             latencies: Latencies::default(),
             store_data: false,
             honor_deallocate: true,
-        })));
-        let waf = generational_pattern(&dev, true);
-        let d = dev.lock().unwrap();
+        });
+        let waf = generational_pattern(&mut dev, true);
         t.row([
             format!("{ru_mb} MiB"),
             cfg.total_rus().to_string(),
             format!("{waf:.4}"),
-            d.ftl_stats().waf.gc_copied_pages().to_string(),
+            dev.ftl_stats().waf.gc_copied_pages().to_string(),
         ]);
     }
     println!("{}", t.render());
@@ -93,18 +90,17 @@ fn main() {
         } else {
             FtlConfig::conventional(geometry)
         };
-        let dev = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig {
+        let mut dev = NvmeDevice::new(DeviceConfig {
             ftl: cfg,
             latencies: Latencies::default(),
             store_data: false,
             honor_deallocate: true,
-        })));
-        let waf = generational_pattern(&dev, separate);
-        let d = dev.lock().unwrap();
+        });
+        let waf = generational_pattern(&mut dev, separate);
         t.row([
             label.to_string(),
             format!("{waf:.4}"),
-            d.ftl_stats().waf.gc_copied_pages().to_string(),
+            dev.ftl_stats().waf.gc_copied_pages().to_string(),
         ]);
     }
     println!("{}", t.render());
@@ -150,29 +146,25 @@ fn main() {
 
 /// The §3.1.4 lifetime pattern: interleaved WAL + snapshot traffic with
 /// whole-generation deallocation, plus one long-lived backup stream.
-fn generational_pattern(dev: &Arc<Mutex<NvmeDevice>>, separate: bool) -> f64 {
+fn generational_pattern(d: &mut NvmeDevice, separate: bool) -> f64 {
     let t = SimTime::ZERO;
-    let capacity = dev.lock().unwrap().capacity_blocks();
+    let capacity = d.capacity_blocks();
     let layout = slimio::layout::Layout::default_for(capacity);
     let pid = |stream: u8| if separate { stream } else { 0 };
     let chunk = 64u64;
     let gen_pages = layout.wal_lbas * 8 / 10;
     let snap_pages = layout.slot_lbas * 9 / 10;
     // Long-lived backup in slot 2.
-    {
-        let mut d = dev.lock().unwrap();
-        let mut p = 0;
-        while p < snap_pages {
-            let n = chunk.min(snap_pages - p);
-            d.write(layout.slot_lba(2) + p, n, pid(3), None, t).unwrap();
-            p += n;
-        }
+    let mut p = 0;
+    while p < snap_pages {
+        let n = chunk.min(snap_pages - p);
+        d.write(layout.slot_lba(2) + p, n, pid(3), None, t).unwrap();
+        p += n;
     }
     let mut wal_head = 0u64;
     for generation in 0..5u64 {
         let slot = layout.slot_lba((generation % 2) as usize);
         let (mut w, mut s) = (0u64, 0u64);
-        let mut d = dev.lock().unwrap();
         while w < gen_pages || s < snap_pages {
             if w < gen_pages {
                 let off = wal_head % layout.wal_lbas;
@@ -203,5 +195,5 @@ fn generational_pattern(dev: &Arc<Mutex<NvmeDevice>>, separate: bool) -> f64 {
         )
         .unwrap();
     }
-    dev.lock().unwrap().waf()
+    d.waf()
 }

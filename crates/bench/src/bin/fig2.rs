@@ -33,8 +33,7 @@ fn scenario(cli: &Cli, wal_active: bool, gc_pressure: bool) -> RunResult {
     } else {
         // Snapshot-Only: preload the dataset, run zero queries, snapshot
         // the idle system.
-        let device = e.build_device();
-        let path = e.build_path(std::sync::Arc::clone(&device));
+        let path = e.build_path(e.build_device());
         let gen = e.build_workload();
         let keys = gen.key_space();
         let mut cfg = e.system_config();

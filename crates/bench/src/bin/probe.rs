@@ -1,7 +1,5 @@
 //! Developer diagnostic: where does main-lane time go on the baseline?
 
-use std::sync::Arc;
-
 use slimio_bench::Cli;
 use slimio_kpath::FsProfile;
 use slimio_system::experiment::periodical;
@@ -15,8 +13,7 @@ fn main() {
         StackKind::KernelF2fs,
         periodical(),
     ));
-    let device = e.build_device();
-    let path = KernelPath::new(Arc::clone(&device), FsProfile::f2fs());
+    let path = KernelPath::new(e.build_device(), FsProfile::f2fs());
     let gen = e.build_workload();
     let model = SystemModel::new(e.system_config(), gen, path);
     let (r, path) = model.run_keep_path();

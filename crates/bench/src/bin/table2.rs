@@ -66,8 +66,7 @@ fn main() {
 /// Preloads the dataset, runs zero queries, and takes one on-demand
 /// snapshot against the idle system — the paper's Snapshot-Only scenario.
 fn run_snapshot_only(e: Experiment) -> slimio_system::RunResult {
-    let device = e.build_device();
-    let path = e.build_path(std::sync::Arc::clone(&device));
+    let path = e.build_path(e.build_device());
     let gen = e.build_workload();
     let keys = gen.key_space();
     let mut sys_cfg = e.system_config();

@@ -361,13 +361,10 @@ mod tests {
     use super::*;
     use slimio_ftl::PlacementMode;
     use slimio_kpath::{FsProfile, KernelCosts};
-    use slimio_nvme::{DeviceConfig, NvmeDevice};
-    use std::sync::Arc;
+    use slimio_nvme::{DeviceConfig, DeviceHandle};
 
     fn backend() -> FileBackend {
-        let dev = Arc::new(std::sync::Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-            PlacementMode::Conventional,
-        ))));
+        let dev = DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Conventional));
         let fs = SimFs::new(dev, KernelCosts::default(), FsProfile::f2fs());
         FileBackend::new(fs).unwrap()
     }

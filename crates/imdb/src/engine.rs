@@ -653,12 +653,10 @@ mod tests {
     use crate::backend::FileBackend;
     use slimio_ftl::PlacementMode;
     use slimio_kpath::{FsProfile, KernelCosts, SimFs};
-    use slimio_nvme::{DeviceConfig, NvmeDevice};
+    use slimio_nvme::{DeviceConfig, DeviceHandle};
 
     fn file_db(policy: LogPolicy) -> Db<FileBackend> {
-        let dev = Arc::new(std::sync::Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-            PlacementMode::Conventional,
-        ))));
+        let dev = DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Conventional));
         let fs = SimFs::new(dev, KernelCosts::default(), FsProfile::f2fs());
         let backend = FileBackend::new(fs).unwrap();
         Db::new(

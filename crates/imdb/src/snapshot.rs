@@ -17,24 +17,13 @@ use crate::rdb::RdbWriter;
 /// A frozen (key, value) view sharing storage with the live keyspace.
 type FrozenEntries = Vec<(Arc<[u8]>, Arc<[u8]>)>;
 
-/// Output of one serialization step.
-#[derive(Debug, Default)]
-pub struct StepOutput {
-    /// Chunks ready to be handed to the backend.
-    pub chunks: Vec<Vec<u8>>,
-    /// True once the stream (including trailer) is fully produced.
-    pub finished: bool,
-    /// Raw bytes serialized during this step (drives CPU-time charging in
-    /// the system model: compression cost is proportional to input).
-    pub raw_bytes: u64,
-}
-
 /// Result of one [`SnapshotJob::step_each`] call.
 #[derive(Clone, Copy, Debug)]
 pub struct StepStats {
     /// True once the stream (including trailer) is fully produced.
     pub finished: bool,
-    /// Raw bytes serialized during this step.
+    /// Raw bytes serialized during this step (drives CPU-time charging in
+    /// the system model: compression cost is proportional to input).
     pub raw_bytes: u64,
 }
 
@@ -45,7 +34,7 @@ pub struct SnapshotJob {
     cursor: usize,
     writer: RdbWriter,
     finished: bool,
-    /// Reused chunk buffer for the allocation-free step path.
+    /// Reused chunk buffer handed to `step_each`'s `emit`.
     chunk: Vec<u8>,
 }
 
@@ -77,38 +66,11 @@ impl SnapshotJob {
         self.entries.len()
     }
 
-    /// Entries serialized so far.
-    pub fn progress(&self) -> usize {
-        self.cursor
-    }
-
-    /// Bytes retained by the frozen view (keys + values), the CoW floor.
-    pub fn view_bytes(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|(k, v)| (k.len() + v.len()) as u64)
-            .sum()
-    }
-
     /// Serializes up to `max_entries` further entries, compressing values
-    /// and emitting any full chunks. Returns the chunks plus whether the
-    /// stream is complete.
-    pub fn step(&mut self, max_entries: usize) -> StepOutput {
-        let mut out = StepOutput::default();
-        let stats = self
-            .step_each(max_entries, &mut |c: &[u8]| {
-                out.chunks.push(c.to_vec());
-                Ok::<(), std::convert::Infallible>(())
-            })
-            .unwrap();
-        out.finished = stats.finished;
-        out.raw_bytes = stats.raw_bytes;
-        out
-    }
-
-    /// Allocation-free variant of [`SnapshotJob::step`]: each ready chunk
-    /// is handed to `emit` from a buffer owned (and reused) by the job.
-    /// An `Err` from `emit` aborts the step immediately.
+    /// and handing each full chunk to `emit` from a buffer owned (and
+    /// reused) by the job. An `Err` from `emit` aborts the step
+    /// immediately. Returns whether the stream (trailer included) is
+    /// complete.
     pub fn step_each<E>(
         &mut self,
         max_entries: usize,
@@ -143,11 +105,6 @@ impl SnapshotJob {
             raw_bytes,
         })
     }
-
-    /// Stored (compressed) bytes produced so far.
-    pub fn stored_bytes(&self) -> u64 {
-        self.writer.stored_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -155,6 +112,7 @@ mod tests {
     use super::*;
     use crate::rdb;
     use std::collections::HashMap;
+    use std::convert::Infallible;
 
     fn sample_map(n: usize) -> HashMap<Arc<[u8]>, Arc<[u8]>> {
         (0..n)
@@ -166,21 +124,29 @@ mod tests {
             .collect()
     }
 
+    /// One step; the chunks it emitted are appended to `stream`.
+    fn step(job: &mut SnapshotJob, max_entries: usize, stream: &mut Vec<u8>) -> StepStats {
+        let mut emit = |c: &[u8]| {
+            stream.extend_from_slice(c);
+            Ok::<(), Infallible>(())
+        };
+        let Ok(stats) = job.step_each(max_entries, &mut emit);
+        stats
+    }
+
+    /// Steps `job` to its end, `max_entries` at a time; returns the stream.
+    fn run(job: &mut SnapshotJob, max_entries: usize) -> Vec<u8> {
+        let mut stream = Vec::new();
+        while !step(job, max_entries, &mut stream).finished {}
+        stream
+    }
+
     #[test]
     fn full_serialization_roundtrips() {
         let map = sample_map(100);
         let mut job = SnapshotJob::freeze(SnapshotKind::OnDemand, map.iter(), 1024);
         assert_eq!(job.total_entries(), 100);
-        let mut stream = Vec::new();
-        loop {
-            let s = job.step(7);
-            for c in &s.chunks {
-                stream.extend_from_slice(c);
-            }
-            if s.finished {
-                break;
-            }
-        }
+        let stream = run(&mut job, 7);
         let entries = rdb::read_all(&stream).unwrap();
         assert_eq!(entries.len(), 100);
         for (k, v) in entries {
@@ -192,27 +158,13 @@ mod tests {
     #[test]
     fn view_is_immune_to_later_mutation() {
         let mut map = sample_map(10);
-        let job_view: FrozenEntries = map
-            .iter()
-            .map(|(k, v)| (Arc::clone(k), Arc::clone(v)))
-            .collect();
+        let some_key = Arc::clone(map.keys().next().unwrap());
         let mut job = SnapshotJob::freeze(SnapshotKind::OnDemand, map.iter(), 64);
         // Mutate the live map after the freeze.
-        let some_key: Arc<[u8]> = job_view[0].0.clone();
         map.insert(some_key, Arc::from(&b"OVERWRITTEN"[..]));
         map.clear();
         // The job still serializes the original 10 entries.
-        let mut stream = Vec::new();
-        loop {
-            let s = job.step(100);
-            for c in &s.chunks {
-                stream.extend_from_slice(c);
-            }
-            if s.finished {
-                break;
-            }
-        }
-        let entries = rdb::read_all(&stream).unwrap();
+        let entries = rdb::read_all(&run(&mut job, 100)).unwrap();
         assert_eq!(entries.len(), 10);
         assert!(entries.iter().all(|(_, v)| v != b"OVERWRITTEN"));
     }
@@ -221,19 +173,17 @@ mod tests {
     fn step_reports_raw_bytes_for_cpu_charging() {
         let map = sample_map(8);
         let mut job = SnapshotJob::freeze(SnapshotKind::WalSnapshot, map.iter(), 1 << 20);
-        let s = job.step(4);
+        let s = step(&mut job, 4, &mut Vec::new());
         assert!(s.raw_bytes > 0);
         assert!(!s.finished);
-        assert_eq!(job.progress(), 4);
     }
 
     #[test]
     fn empty_keyspace_still_produces_valid_stream() {
         let map = sample_map(0);
         let mut job = SnapshotJob::freeze(SnapshotKind::OnDemand, map.iter(), 64);
-        let s = job.step(10);
-        assert!(s.finished);
-        let stream: Vec<u8> = s.chunks.concat();
+        let mut stream = Vec::new();
+        assert!(step(&mut job, 10, &mut stream).finished);
         assert_eq!(rdb::read_all(&stream).unwrap(), vec![]);
     }
 
@@ -241,17 +191,11 @@ mod tests {
     fn stepping_after_finish_is_idempotent() {
         let map = sample_map(3);
         let mut job = SnapshotJob::freeze(SnapshotKind::OnDemand, map.iter(), 64);
-        while !job.step(10).finished {}
-        let s = job.step(10);
+        run(&mut job, 10);
+        let mut after = Vec::new();
+        let s = step(&mut job, 10, &mut after);
         assert!(s.finished);
-        assert!(s.chunks.is_empty());
-    }
-
-    #[test]
-    fn view_bytes_counts_retained_memory() {
-        let map = sample_map(5);
-        let expected: u64 = map.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
-        let job = SnapshotJob::freeze(SnapshotKind::OnDemand, map.iter(), 64);
-        assert_eq!(job.view_bytes(), expected);
+        assert_eq!(s.raw_bytes, 0);
+        assert!(after.is_empty());
     }
 }

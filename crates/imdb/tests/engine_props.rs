@@ -8,14 +8,13 @@
 //! workspace's deterministic PRNG so every case reproduces from its seed.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use slimio_des::{SimTime, Xoshiro256};
 use slimio_ftl::PlacementMode;
 use slimio_imdb::backend::{FileBackend, SnapshotKind};
 use slimio_imdb::{Db, DbConfig, LogPolicy};
 use slimio_kpath::{FsProfile, KernelCosts, SimFs};
-use slimio_nvme::{DeviceConfig, NvmeDevice};
+use slimio_nvme::{DeviceConfig, DeviceHandle};
 
 #[derive(Clone, Debug)]
 enum Cmd {
@@ -58,10 +57,8 @@ fn synced_state_always_recovers() {
         let n = 1 + rng.gen_range(119) as usize;
         let cmds: Vec<Cmd> = (0..n).map(|_| gen_cmd(&mut rng)).collect();
 
-        let dev = Arc::new(std::sync::Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-            PlacementMode::Conventional,
-        ))));
-        let fs = SimFs::new(Arc::clone(&dev), KernelCosts::default(), FsProfile::f2fs());
+        let dev = DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Conventional));
+        let fs = SimFs::new(dev, KernelCosts::default(), FsProfile::f2fs());
         let cfg = DbConfig {
             policy: LogPolicy::Always,
             wal_snapshot_threshold: u64::MAX, // snapshots are explicit here

@@ -8,11 +8,9 @@
 //! the §3.1.2 contention point between the WAL and snapshot processes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use slimio_des::{FcfsServer, SimTime};
-use slimio_nvme::{DeviceError, NvmeDevice, LBA_BYTES};
-use std::sync::Mutex;
+use slimio_nvme::{Command, DeviceError, DeviceHandle, NvmeDevice, LBA_BYTES};
 
 use crate::costs::{FsProfile, KernelCosts};
 use crate::pagecache::PageCache;
@@ -116,7 +114,7 @@ fn write_page_retrying(
 
 /// The simulated file system.
 pub struct SimFs {
-    device: Arc<Mutex<NvmeDevice>>,
+    device: DeviceHandle,
     costs: KernelCosts,
     profile: FsProfile,
     cache: PageCache,
@@ -135,12 +133,16 @@ pub struct SimFs {
 
 impl SimFs {
     /// Mounts a fresh file system over `device` with the given profile.
-    pub fn new(device: Arc<Mutex<NvmeDevice>>, costs: KernelCosts, profile: FsProfile) -> Self {
+    pub fn new(device: DeviceHandle, costs: KernelCosts, profile: FsProfile) -> Self {
         // The file system cycles through the whole logical space before
         // reusing freed segments (log-structured allocation: fresh
         // sections first, oldest-freed next — never hot-reuse). The top
         // JOURNAL_LBAS pages are reserved for journal/node blocks.
-        let capacity_pages = (device.lock().unwrap().capacity_blocks() - JOURNAL_LBAS) * 95 / 100;
+        let blocks = device
+            .lock()
+            .expect("device mutex poisoned")
+            .capacity_blocks();
+        let capacity_pages = (blocks - JOURNAL_LBAS) * 95 / 100;
         SimFs {
             device,
             costs,
@@ -170,7 +172,7 @@ impl SimFs {
     }
 
     /// The underlying device handle.
-    pub fn device(&self) -> &Arc<Mutex<NvmeDevice>> {
+    pub fn device(&self) -> &DeviceHandle {
         &self.device
     }
 
@@ -440,7 +442,7 @@ impl SimFs {
         let mut cursor = now;
         let mut failed: Option<(usize, DeviceError)> = None;
         {
-            let mut dev = self.device.lock().unwrap();
+            let mut dev = self.device.lock().expect("device mutex poisoned");
             'batch: for (ci, chunk) in batch.chunks(WB_CHUNK).enumerate() {
                 let mut chunk_done = cursor;
                 for (i, ((file, page), data)) in chunk.iter().enumerate() {
@@ -487,7 +489,7 @@ impl SimFs {
         let mut done;
         let mut failed: Option<(usize, DeviceError)> = None;
         {
-            let mut dev = self.device.lock().unwrap();
+            let mut dev = self.device.lock().expect("device mutex poisoned");
             // Data writeback, paced per chunk.
             let mut cursor = end;
             'data: for (ci, chunk) in dirty.chunks(WB_CHUNK).enumerate() {
@@ -572,9 +574,10 @@ impl SimFs {
                 let Some(lba) = self.lba_of(id, p) else {
                     continue;
                 };
-                let (c, data) = self.device.lock().unwrap().read(lba, 1, t)?;
-                t = t.max(c.done_at);
-                self.cache.fill_page((id, p), data.as_deref());
+                let (done, data) = self.device.submit(Command::Read { lba, blocks: 1 }, t);
+                t = t.max(done);
+                self.cache
+                    .fill_page((id, p), data.into_result()?.as_deref());
             }
             if let Some(Some(d)) = self.cache.read_page((id, p)) {
                 let page_start = p * LBA_BYTES as u64;
@@ -613,8 +616,9 @@ impl SimFs {
             let Some(lba) = self.lba_of(id, p) else {
                 continue;
             };
-            let (_, data) = self.device.lock().unwrap().read(lba, 1, now)?;
-            self.cache.fill_page((id, p), data.as_deref());
+            let (_, data) = self.device.submit(Command::Read { lba, blocks: 1 }, now);
+            self.cache
+                .fill_page((id, p), data.into_result()?.as_deref());
         }
         Ok(())
     }
@@ -687,9 +691,7 @@ mod tests {
     use slimio_nvme::DeviceConfig;
 
     fn fs() -> SimFs {
-        let dev = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-            PlacementMode::Conventional,
-        ))));
+        let dev = DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Conventional));
         SimFs::new(dev, KernelCosts::default(), FsProfile::f2fs())
     }
 
@@ -764,9 +766,9 @@ mod tests {
         let data = vec![7u8; LBA_BYTES * 3];
         f.write(fd, 0, data.len() as u64, Some(&data), SimTime::ZERO)
             .unwrap();
-        let before = f.device().lock().unwrap().ftl().live_pages();
+        let before = f.device().telemetry().live_pages;
         let s = f.fsync(fd, SimTime::ZERO).unwrap();
-        let after = f.device().lock().unwrap().ftl().live_pages();
+        let after = f.device().telemetry().live_pages;
         assert!(
             after > before,
             "fsync should program pages: {before} -> {after}"

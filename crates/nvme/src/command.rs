@@ -3,12 +3,17 @@
 use slimio_des::SimTime;
 use slimio_ftl::{FtlError, Lpn, Pid};
 
-/// The I/O command set the emulated controller accepts.
+/// The I/O command set the emulated controller accepts: the NVMe
+/// passthru commands SlimIO needs (write with placement ID, read,
+/// deallocate, flush).
 ///
-/// `Write` carries an optional placement identifier, mirroring the NVMe 2.0
-/// directive fields that FDP uses; conventional devices ignore it. Payload
-/// data is passed separately on the device API so that timing-only callers
-/// (the discrete-event simulation) don't have to materialize buffers.
+/// One value is one command, whichever way it travels: an io_uring
+/// submission entry carries it (`slimio-uring` re-exports it as
+/// `SqeOp`), and [`DeviceHandle::submit`](crate::DeviceHandle::submit)
+/// executes it. `Write` carries a placement identifier, mirroring the
+/// NVMe 2.0 directive fields that FDP uses; conventional devices ignore
+/// it. Its payload is optional, so timing-only callers (the
+/// discrete-event simulation) don't have to materialize buffers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Command {
     /// Write `blocks` logical blocks starting at `lba`, tagged with `pid`.
@@ -19,6 +24,9 @@ pub enum Command {
         blocks: u64,
         /// FDP placement identifier (0 = default stream).
         pid: Pid,
+        /// Payload of exactly `blocks * 4096` bytes; `None` for
+        /// timing-only runs.
+        data: Option<Box<[u8]>>,
     },
     /// Read `blocks` logical blocks starting at `lba`.
     Read {
@@ -47,6 +55,42 @@ impl Command {
             | Command::Read { blocks, .. }
             | Command::Deallocate { blocks, .. } => *blocks,
             Command::Flush => 0,
+        }
+    }
+}
+
+/// Outcome of one executed [`Command`].
+#[derive(Clone, Debug)]
+pub enum CqeResult {
+    /// Write/deallocate/flush completed.
+    Done {
+        /// GC pages relocated while serving this command.
+        gc_copied: u64,
+    },
+    /// Read completed; payload present when the device stores data.
+    Data(Option<Vec<u8>>),
+    /// The device rejected the command.
+    Error(DeviceError),
+    /// A write failed transiently ([`DeviceError::Injected`]) and persisted
+    /// nothing: the command is handed back for the submitter to re-drive.
+    Requeue(Box<Command>),
+}
+
+impl CqeResult {
+    /// True when the command succeeded.
+    pub fn is_ok(&self) -> bool {
+        !matches!(self, CqeResult::Error(_) | CqeResult::Requeue(_))
+    }
+
+    /// The read payload (`None` for other commands and for a device
+    /// without a data plane), or the error; a handed-back write is
+    /// [`DeviceError::Injected`].
+    pub fn into_result(self) -> Result<Option<Vec<u8>>, DeviceError> {
+        match self {
+            CqeResult::Done { .. } => Ok(None),
+            CqeResult::Data(data) => Ok(data),
+            CqeResult::Error(e) => Err(e),
+            CqeResult::Requeue(_) => Err(DeviceError::Injected),
         }
     }
 }
@@ -120,7 +164,8 @@ mod tests {
             Command::Write {
                 lba: 0,
                 blocks: 8,
-                pid: 1
+                pid: 1,
+                data: None,
             }
             .blocks(),
             8

@@ -1,9 +1,11 @@
 //! The emulated controller: FTL + NAND timing + data plane.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 use slimio_des::SimTime;
-use slimio_ftl::{Ftl, FtlConfig, Lpn, Pid, PlacementMode};
+use slimio_ftl::{Ftl, FtlConfig, FtlError, FtlStats, Lpn, Pid, PlacementMode, WriteResult};
 use slimio_nand::{Latencies, NandTimer};
 
 use crate::command::{Completion, DeviceError};
@@ -108,18 +110,61 @@ pub struct NvmeDevice {
     last_write_done: SimTime,
     /// Armed fault schedule; `None` (the default) costs one branch per write.
     fault: Option<FaultState>,
-    /// Write commands accepted since construction (fault-armed or not),
-    /// so harnesses can enumerate crash points of a recorded workload.
-    write_cmds: u64,
+    /// Counters bumped here, under the device lock, and read through a
+    /// [`DeviceHandle`](crate::DeviceHandle) without it.
+    pub(crate) counters: Arc<Counters>,
+}
+
+/// The device's running counters as relaxed atomics: anyone may read
+/// them; only the device writes them, with its lock held, so it adds with
+/// a load and a store rather than a locked read-modify-write.
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    write_commands: AtomicU64,
+    wall_stall_ns: AtomicU64,
+    gc_passes: AtomicU64,
+    host_pages: AtomicU64,
+}
+
+impl Counters {
+    /// Re-publishes the FTL-owned counts after the FTL may have moved.
+    fn mirror(&self, stats: &FtlStats) {
+        self.gc_passes.store(stats.gc_passes, Relaxed);
+        self.host_pages.store(stats.waf.host_pages(), Relaxed);
+    }
+
+    pub(crate) fn load(&self) -> DeviceCounters {
+        DeviceCounters {
+            write_commands: self.write_commands.load(Relaxed),
+            wall_stall_ns: self.wall_stall_ns.load(Relaxed),
+            gc_passes: self.gc_passes.load(Relaxed),
+            host_pages: self.host_pages.load(Relaxed),
+        }
+    }
+}
+
+/// The counters a running server reads per batch, read without the
+/// device lock. Each field is exact as of some instant; fields read
+/// together may straddle a command running on another thread.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DeviceCounters {
+    /// Write commands accepted since construction (fault-armed or not,
+    /// retries included), so harnesses can enumerate crash points of a
+    /// recorded workload.
+    pub write_commands: u64,
     /// Wall-clock nanoseconds spent stalled in injected `slow@` faults.
-    /// The live server's telemetry reads the delta around a group commit
-    /// to attribute the stall to the device-sync stage.
-    stall_ns: u64,
+    /// The live server reads the delta around a group commit to
+    /// attribute the stall to the device-sync stage.
+    pub wall_stall_ns: u64,
+    /// GC passes (foreground + background) run so far.
+    pub gc_passes: u64,
+    /// Host pages programmed.
+    pub host_pages: u64,
 }
 
 /// A consistent snapshot of device/FTL/NAND state for telemetry export.
 /// Taken under the device lock so all fields describe the same instant.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DeviceTelemetry {
     /// Live write amplification factor (NAND pages / host pages).
     pub waf: f64,
@@ -162,25 +207,14 @@ impl NvmeDevice {
             powered: true,
             last_write_done: SimTime::ZERO,
             fault: None,
-            write_cmds: 0,
-            stall_ns: 0,
+            counters: Arc::default(),
             cfg,
         }
-    }
-
-    /// Device configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.cfg
     }
 
     /// Advertised capacity in logical blocks.
     pub fn capacity_blocks(&self) -> u64 {
         self.ftl.logical_pages()
-    }
-
-    /// Advertised capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_blocks() * LBA_BYTES as u64
     }
 
     /// Current write amplification factor.
@@ -189,18 +223,8 @@ impl NvmeDevice {
     }
 
     /// FTL statistics (GC passes, trims, host/GC page counts).
-    pub fn ftl_stats(&self) -> &slimio_ftl::FtlStats {
+    pub fn ftl_stats(&self) -> &FtlStats {
         self.ftl.stats()
-    }
-
-    /// Direct access to the FTL (diagnostics and white-box tests).
-    pub fn ftl(&self) -> &Ftl {
-        &self.ftl
-    }
-
-    /// NAND timing state (utilization reporting).
-    pub fn timer(&self) -> &NandTimer {
-        &self.timer
     }
 
     fn check_power(&self) -> Result<(), DeviceError> {
@@ -236,30 +260,15 @@ impl NvmeDevice {
         self.fault = None;
     }
 
-    /// True while a fault plan is armed (diagnostics; no I/O path branches
-    /// on it — armed and unarmed runs submit the same commands).
-    pub fn fault_armed(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// The armed fault plan, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.fault.as_ref().map(|f| f.plan())
     }
 
-    /// Write commands accepted since construction.
-    pub fn write_commands(&self) -> u64 {
-        self.write_cmds
-    }
-
-    /// Wall-clock nanoseconds spent stalled in injected `slow@` faults.
-    pub fn wall_stall_ns(&self) -> u64 {
-        self.stall_ns
-    }
-
     /// Snapshots device, FTL, and NAND state for telemetry export.
     pub fn telemetry(&self) -> DeviceTelemetry {
         let stats = self.ftl.stats();
+        let counters = self.counters.load();
         DeviceTelemetry {
             waf: stats.waf_value(),
             host_pages: stats.waf.host_pages(),
@@ -269,13 +278,21 @@ impl NvmeDevice {
             trimmed_pages: stats.trimmed_pages,
             reads: stats.reads,
             die_busy_ns: self.timer.total_die_busy().as_nanos(),
-            wall_stall_ns: self.stall_ns,
-            capacity_bytes: self.capacity_bytes(),
+            wall_stall_ns: counters.wall_stall_ns,
+            capacity_bytes: self.capacity_blocks() * LBA_BYTES as u64,
             free_rus: self.ftl.free_rus() as u64,
             live_pages: self.ftl.live_pages(),
-            write_commands: self.write_cmds,
+            write_commands: counters.write_commands,
             ru_occupancy: self.ftl.pid_occupancy(),
         }
+    }
+
+    /// One host page into the FTL, mirrored into the counters whether or
+    /// not it succeeds (a failed write may still have run GC passes).
+    fn ftl_write(&mut self, lpn: Lpn, pid: Pid) -> Result<WriteResult, FtlError> {
+        let res = self.ftl.write(lpn, pid);
+        self.counters.mirror(self.ftl.stats());
+        res
     }
 
     /// A torn write: program only the first `keep` payload bytes (boundary
@@ -294,7 +311,7 @@ impl NvmeDevice {
         let pages = keep.div_ceil(LBA_BYTES) as u64;
         for i in 0..pages {
             let lpn = lba + i;
-            self.ftl.write(lpn, pid)?;
+            self.ftl_write(lpn, pid)?;
             if let (Some(store), Some(d)) = (self.store.as_mut(), data) {
                 let start = i as usize * LBA_BYTES;
                 let end = ((i as usize + 1) * LBA_BYTES).min(keep);
@@ -331,7 +348,8 @@ impl NvmeDevice {
                 });
             }
         }
-        self.write_cmds += 1;
+        let cmds = &self.counters.write_commands;
+        cmds.store(cmds.load(Relaxed) + 1, Relaxed);
         if let Some(fault) = self.fault.as_mut() {
             match fault.on_write() {
                 FaultAction::Proceed => {}
@@ -351,7 +369,8 @@ impl NvmeDevice {
                     // here — with the device lock held — models a device
                     // whose queue the writer thread is stuck behind.
                     std::thread::sleep(std::time::Duration::from_micros(per_write_us));
-                    self.stall_ns += per_write_us * 1_000;
+                    let stall = &self.counters.wall_stall_ns;
+                    stall.store(stall.load(Relaxed) + per_write_us * 1_000, Relaxed);
                 }
             }
         }
@@ -360,7 +379,7 @@ impl NvmeDevice {
         let mut gc_erases = 0u64;
         for i in 0..blocks {
             let lpn = lba + i;
-            let res = self.ftl.write(lpn, pid)?;
+            let res = self.ftl_write(lpn, pid)?;
             // Charge GC first: relocations and erases occupy dies, delaying
             // the host program that queued behind them. Victim RUs stripe
             // their blocks across dies, so each die in the stripe absorbs
@@ -468,25 +487,6 @@ impl NvmeDevice {
             gc_erases: 0,
         })
     }
-
-    /// Runs one background GC pass if the device is under-provisioned on
-    /// free RUs, charging NAND time at `now`. Returns pages copied.
-    pub fn background_gc(&mut self, now: SimTime) -> Result<u64, DeviceError> {
-        self.check_power()?;
-        match self.ftl.background_gc()? {
-            None => Ok(0),
-            Some(pass) => {
-                for copy in &pass.copies {
-                    self.timer.copy_page(copy.dst.die, now);
-                }
-                for b in 0..pass.erased_blocks.min(self.cfg.ftl.geometry.dies()) {
-                    let die = b % self.cfg.ftl.geometry.dies();
-                    self.timer.erase_block(die, now);
-                }
-                Ok(pass.copies.len() as u64)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -559,7 +559,7 @@ mod tests {
         dev.deallocate(3, 1, SimTime::ZERO).unwrap();
         let (_, out) = dev.read(3, 1, SimTime::ZERO).unwrap();
         assert_eq!(out.unwrap(), page(0));
-        assert_eq!(dev.ftl().live_pages(), 0);
+        assert_eq!(dev.telemetry().live_pages, 0);
     }
 
     #[test]
@@ -590,7 +590,7 @@ mod tests {
             Err(DeviceError::PoweredOff)
         ));
         // The plan consumed itself: power-on does not re-trigger it.
-        assert!(!dev.fault_armed());
+        assert_eq!(dev.fault_plan(), None);
         dev.power_on();
         let (_, out) = dev.read(0, 2, SimTime::ZERO).unwrap();
         let mut expect = page(1);
@@ -631,7 +631,7 @@ mod tests {
         dev.write(1, 1, 0, Some(&page(2)), SimTime::ZERO).unwrap();
         let (_, out) = dev.read(1, 1, SimTime::ZERO).unwrap();
         assert_eq!(out.unwrap(), page(2));
-        assert_eq!(dev.write_commands(), 4);
+        assert_eq!(dev.telemetry().write_commands, 4);
     }
 
     #[test]

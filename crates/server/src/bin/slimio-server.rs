@@ -192,7 +192,11 @@ fn main() {
     let store = Store::new(args.store);
     if let Some(plan) = args.fault_plan {
         println!("slimio-server: fault plan armed: {plan}");
-        store.device().lock().unwrap().arm_fault(plan);
+        store
+            .device()
+            .lock()
+            .expect("device mutex poisoned")
+            .arm_fault(plan);
     }
     let opts = ServerOpts {
         addr: format!("{}:{}", args.addr, args.port),

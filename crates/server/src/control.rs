@@ -19,7 +19,7 @@ use std::time::Duration;
 use slimio_imdb::backend::SnapshotKind;
 use slimio_imdb::{engine, Entry, LogPolicy};
 
-use crate::govern::{lock_ok, ShardGate};
+use crate::govern::ShardGate;
 use crate::repl::{self, LinkCtx, ReplicaPeer};
 use crate::resp::{self, Value};
 use crate::server::{recv_polling, wrong_args, Request};
@@ -204,23 +204,22 @@ impl Writer {
         let device = self.db.backend().device();
         match args.len() {
             2 => {
-                let dev = device.lock().unwrap();
-                let plan = dev
-                    .fault_plan()
-                    .map(|p| p.to_string())
-                    .unwrap_or_else(|| "off".to_string());
-                Value::Bulk(
-                    format!("plan:{plan} writes_seen:{}", dev.write_commands()).into_bytes(),
-                )
+                let plan = device.lock().expect("device mutex poisoned").fault_plan();
+                let plan = plan.map_or_else(|| "off".to_string(), |p| p.to_string());
+                let writes = device.counters().write_commands;
+                Value::Bulk(format!("plan:{plan} writes_seen:{writes}").into_bytes())
             }
             3 => {
                 if args[2].eq_ignore_ascii_case(b"OFF") {
-                    device.lock().unwrap().disarm_fault();
+                    device.lock().expect("device mutex poisoned").disarm_fault();
                     return Value::ok();
                 }
                 match String::from_utf8_lossy(&args[2]).parse::<slimio_nvme::FaultPlan>() {
                     Ok(plan) => {
-                        device.lock().unwrap().arm_fault(plan);
+                        device
+                            .lock()
+                            .expect("device mutex poisoned")
+                            .arm_fault(plan);
                         Value::ok()
                     }
                     Err(e) => Value::err(format!("bad fault spec: {e}")),
@@ -458,10 +457,8 @@ impl Writer {
         let ops = sh.ops.get();
         let (p50, p99, p999) = tel.command_latency();
         let us = |ns: u64| format!("{:.1}", ns as f64 / 1000.0);
-        let (waf, capacity) = {
-            let d = lock_ok(self.db.backend().device());
-            (d.waf(), d.capacity_bytes())
-        };
+        let dt = self.db.backend().device().telemetry();
+        let (waf, capacity) = (dt.waf, dt.capacity_bytes);
         let mut t = InfoText::default();
         t.section("Server");
         t.kv("backend", sh.backend_name);

@@ -553,7 +553,7 @@ impl Server {
                 let ctx = MetricsCtx {
                     shared: Arc::clone(&shared),
                     repl: Arc::clone(&repl),
-                    device: Arc::clone(store.device()),
+                    device: store.device().clone(),
                     rings,
                 };
                 let (bound, handle) =

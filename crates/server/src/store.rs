@@ -8,7 +8,7 @@
 //! (kill -9 equivalent: the kernel path loses its page cache, the
 //! passthru path loses staged ring state; only synced bytes survive).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use slimio::layout::WAL_FRAC;
 use slimio::pids::PidSet;
@@ -16,7 +16,7 @@ use slimio::{Layout, PassthruBackend};
 use slimio_des::SimTime;
 use slimio_imdb::backend::{BackendError, FileBackend, IoTiming, PersistBackend, SnapshotKind};
 use slimio_kpath::{FsProfile, KernelCosts, SimFs};
-use slimio_nvme::{DeviceConfig, NvmeDevice};
+use slimio_nvme::{DeviceConfig, DeviceHandle};
 use slimio_uring::{SharedClock, SqPollStats};
 
 /// Which I/O path serves the engine.
@@ -75,7 +75,7 @@ pub enum AnyBackend {
 
 impl AnyBackend {
     /// The underlying emulated device.
-    pub fn device(&self) -> &Arc<Mutex<NvmeDevice>> {
+    pub fn device(&self) -> &DeviceHandle {
         match self {
             AnyBackend::Kernel(b) => b.fs().device(),
             AnyBackend::Passthru(b) => b.device(),
@@ -84,7 +84,7 @@ impl AnyBackend {
 
     /// Snapshots device/FTL/NAND telemetry (one lock acquisition).
     pub fn device_telemetry(&self) -> slimio_nvme::DeviceTelemetry {
-        self.device().lock().unwrap().telemetry()
+        self.device().telemetry()
     }
 
     /// The Snapshot-Path ring's park / wake-up counts; the kernel path
@@ -174,7 +174,7 @@ impl PersistBackend for AnyBackend {
 /// file system) that persists across server lifetimes.
 pub struct Store {
     cfg: StoreConfig,
-    device: Arc<Mutex<NvmeDevice>>,
+    device: DeviceHandle,
     clock: SharedClock,
     /// Kernel path only: the mounted file system between runs.
     fs: Option<SimFs>,
@@ -191,11 +191,11 @@ impl Store {
             cfg.shards == 1 || cfg.kind == BackendKind::Passthru,
             "--shards > 1 requires the passthru backend"
         );
-        let device = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::live_with_pids(
+        let device = DeviceHandle::new(DeviceConfig::live_with_pids(
             cfg.fdp,
             cfg.ratio,
             PidSet::device_pids(cfg.shards),
-        ))));
+        ));
         Store {
             cfg,
             device,
@@ -212,7 +212,11 @@ impl Store {
 
     /// The LBA sub-layout of shard `shard` (passthru).
     fn shard_layout(&self, shard: usize) -> Layout {
-        let capacity = self.device.lock().unwrap().capacity_blocks();
+        let capacity = self
+            .device
+            .lock()
+            .expect("device mutex poisoned")
+            .capacity_blocks();
         let per = capacity / self.cfg.shards as u64;
         Layout::partition_at(shard as u64 * per, per, WAL_FRAC)
     }
@@ -233,7 +237,7 @@ impl Store {
     }
 
     /// The emulated device.
-    pub fn device(&self) -> &Arc<Mutex<NvmeDevice>> {
+    pub fn device(&self) -> &DeviceHandle {
         &self.device
     }
 
@@ -254,13 +258,16 @@ impl Store {
     pub fn open_shards(&mut self) -> Result<Vec<AnyBackend>, BackendError> {
         // An injected power-cut (or torn write) leaves the device powered
         // off; restarting the server on the same store is the power cycle.
-        self.device.lock().unwrap().power_on();
+        self.device
+            .lock()
+            .expect("device mutex poisoned")
+            .power_on();
         let mut out = Vec::with_capacity(self.cfg.shards);
         match self.cfg.kind {
             BackendKind::Kernel => {
                 let fs = self.fs.take().unwrap_or_else(|| {
                     SimFs::new(
-                        Arc::clone(&self.device),
+                        self.device.clone(),
                         KernelCosts::default(),
                         FsProfile::f2fs(),
                     )
@@ -274,7 +281,7 @@ impl Store {
             }
             BackendKind::Passthru => {
                 for shard in 0..self.cfg.shards {
-                    let (device, clock) = (Arc::clone(&self.device), self.clock.clone());
+                    let (device, clock) = (self.device.clone(), self.clock.clone());
                     let (layout, pids) = (self.shard_layout(shard), PidSet::for_shard(shard));
                     let b = if self.opened {
                         PassthruBackend::recover_at(device, clock, layout, pids)?
@@ -417,7 +424,7 @@ mod tests {
             }
             let budget = shards as u64 * (2 + 128) + snapshot_pages + wal_pages;
 
-            let reads = |store: &Store| store.device().lock().unwrap().telemetry().reads;
+            let reads = |store: &Store| store.device().telemetry().reads;
             let before = reads(&store);
             let backends = store.open_shards().unwrap();
             let opened = reads(&store);

@@ -36,7 +36,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use slimio_metrics::{AtomicHistogram, Counter, IntGauge, Registry};
-use slimio_nvme::NvmeDevice;
+use slimio_nvme::DeviceHandle;
 use slimio_uring::SqPollStats;
 
 use crate::govern::lock_ok;
@@ -507,7 +507,7 @@ impl Telemetry {
         }
         // Device / FTL / NAND, one lock acquisition for a consistent
         // snapshot.
-        let dt = lock_ok(device).telemetry();
+        let dt = device.telemetry();
         r.gauge_with_decimals(
             "slimio_device_waf",
             &[],
@@ -598,7 +598,7 @@ impl Telemetry {
 pub(crate) struct MetricsCtx {
     pub(crate) shared: Arc<Shared>,
     pub(crate) repl: Arc<ReplState>,
-    pub(crate) device: Arc<Mutex<NvmeDevice>>,
+    pub(crate) device: DeviceHandle,
     /// Per shard, its snapshot ring's poller counts (passthru only).
     pub(crate) rings: Vec<Option<Arc<SqPollStats>>>,
 }

@@ -20,7 +20,6 @@ use slimio_imdb::{Db, Entry, LogPolicy};
 use slimio_uring::SharedClock;
 
 use crate::conn::governed_cmd;
-use crate::govern::lock_ok;
 use crate::repl::{ReplState, READONLY_MSG};
 use crate::resp::Value;
 use crate::server::{wrong_args, Request, Shared, SHUTTING_DOWN};
@@ -137,7 +136,7 @@ impl Writer {
         let tel = Arc::clone(&self.shared.tel);
         // Baseline the GC delta: a restarted server shares the
         // in-process device, whose counters carry prior history.
-        self.prev_gc_passes = lock_ok(self.db.backend().device()).ftl_stats().gc_passes;
+        self.prev_gc_passes = self.db.backend().device().counters().gc_passes;
         loop {
             if self.shared.kill.load(Ordering::SeqCst) {
                 return self.db.into_backend();
@@ -319,7 +318,7 @@ impl Writer {
                         // offset.
                     }
                 }
-                let gc_total = lock_ok(self.db.backend().device()).ftl_stats().gc_passes;
+                let gc_total = self.db.backend().device().counters().gc_passes;
                 gc_delta = gc_total.saturating_sub(self.prev_gc_passes);
                 self.prev_gc_passes = gc_total;
                 rec.wal_append.record(wal_ns);
@@ -515,7 +514,7 @@ impl Writer {
     /// the sync phase is already inside the sync timing.
     fn group_commit(&mut self) -> Result<(u64, u64), DbError> {
         let now = self.now();
-        let stall = |db: &Db<AnyBackend>| lock_ok(db.backend().device()).wall_stall_ns();
+        let stall = |db: &Db<AnyBackend>| db.backend().device().counters().wall_stall_ns;
         let stall0 = stall(&self.db);
         let t_flush = Instant::now();
         let sync_from = match self.db.config().policy {

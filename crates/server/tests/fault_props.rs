@@ -46,12 +46,12 @@ fn fault_free_write_count(kind: BackendKind, min_len: usize) -> u64 {
     let mut store = store_for(kind, RATIO);
     let backend = store.open().expect("open");
     let mut db = Db::new(backend, cfg());
-    let before = store.device().lock().unwrap().write_commands();
+    let before = store.device().counters().write_commands;
     for i in 0..OPS {
         db.set(&key(i), &val(i, min_len), SimTime::ZERO)
             .expect("set");
     }
-    let after = store.device().lock().unwrap().write_commands();
+    let after = store.device().counters().write_commands;
     store.close(db.into_backend());
     after - before
 }

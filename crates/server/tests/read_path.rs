@@ -187,7 +187,7 @@ fn mixed_pipeline_replies_in_exact_request_order() {
 fn get_storm_issues_zero_device_writes() {
     for kind in [BackendKind::Kernel, BackendKind::Passthru] {
         let store = store_for(kind, RATIO);
-        let device = Arc::clone(store.device());
+        let device = store.device().clone();
         let handle = Server::start(store, opts_always()).expect("start");
         let port = handle.port();
 
@@ -204,10 +204,7 @@ fn get_storm_issues_zero_device_writes() {
         let report = bench::run(&write_opts).expect("write phase");
         assert_eq!(report.errors, 0, "{kind:?}: write phase errors");
 
-        let writes_before = {
-            let dev = device.lock().unwrap();
-            dev.write_commands()
-        };
+        let writes_before = device.counters().write_commands;
 
         // Read phase: 100% GETs, pipelined, several connections.
         let read_opts = BenchOpts {
@@ -224,10 +221,7 @@ fn get_storm_issues_zero_device_writes() {
         assert_eq!(report.errors, 0, "{kind:?}: read phase errors");
         assert_eq!(report.ops, 8_000, "{kind:?}: read phase short");
 
-        let writes_after = {
-            let dev = device.lock().unwrap();
-            dev.write_commands()
-        };
+        let writes_after = device.counters().write_commands;
         assert_eq!(
             writes_before, writes_after,
             "{kind:?}: GET storm issued device write commands"

@@ -24,15 +24,16 @@
 //! [`build`]: PassthruBackend::build
 //! [`submit_writes`]: PassthruBackend::submit_writes
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use slimio_des::SimTime;
 use slimio_ftl::Pid;
 use slimio_imdb::backend::{BackendError, IoTiming, PersistBackend, SnapshotKind};
 use slimio_imdb::wal::{self as walcodec, WalDecodeError};
-use slimio_nvme::{DeviceError, NvmeDevice, LBA_BYTES};
+use slimio_nvme::{DeviceError, DeviceHandle, LBA_BYTES};
 use slimio_uring::{
-    Cqe, CqeResult, IoUring, PassthruCosts, RingError, SharedClock, SqPollStats, Sqe, SqeOp,
+    Cqe, CqeResult, IoUring, PassthruCosts, RingError, RingMode, SharedClock, SqPollStats, Sqe,
+    SqeOp,
 };
 
 use crate::layout::{Layout, META_LBAS};
@@ -70,7 +71,6 @@ struct SnapState {
 
 /// The SlimIO backend.
 pub struct PassthruBackend {
-    device: Arc<Mutex<NvmeDevice>>,
     clock: SharedClock,
     /// CPU cost constants for ring operations.
     costs: PassthruCosts,
@@ -105,30 +105,18 @@ fn pid_of(pids: PidSet, kind: SnapshotKind) -> Pid {
 /// Handles one CQE. A write the device failed transiently comes back in
 /// its CQE and is re-driven synchronously on the device (bounded); every
 /// other error surfaces.
-fn absorb_cqe(device: &Mutex<NvmeDevice>, cqe: Cqe) -> Result<SimTime, BackendError> {
-    match cqe.result {
-        CqeResult::Error(e) => Err(BackendError::Device(e)),
-        CqeResult::Requeue(op) => {
-            if let SqeOp::Write {
-                lba,
-                blocks,
-                pid,
-                data,
-            } = *op
-            {
-                let mut dev = device.lock().unwrap();
-                for _ in 0..WRITE_RETRIES {
-                    match dev.write(lba, blocks, pid, data.as_deref(), cqe.completed_at) {
-                        Ok(c) => return Ok(c.done_at),
-                        Err(DeviceError::Injected) => continue,
-                        Err(e) => return Err(BackendError::Device(e)),
-                    }
-                }
-            }
-            Err(BackendError::Device(DeviceError::Injected))
-        }
-        _ => Ok(cqe.completed_at),
+fn absorb_cqe(device: &DeviceHandle, cqe: Cqe) -> Result<SimTime, BackendError> {
+    let (mut t, mut result) = (cqe.completed_at, cqe.result);
+    for _ in 0..WRITE_RETRIES {
+        let CqeResult::Requeue(cmd) = result else {
+            break;
+        };
+        (t, result) = device.submit(*cmd, t);
     }
+    result
+        .into_result()
+        .map(|_| t)
+        .map_err(BackendError::Device)
 }
 
 /// The backend's one device reader. Fetches `pages` pages starting at
@@ -139,7 +127,7 @@ fn absorb_cqe(device: &Mutex<NvmeDevice>, cqe: Cqe) -> Result<SimTime, BackendEr
 /// the last completion time; a device without a data plane leaves `buf`
 /// untouched.
 fn read_pages(
-    device: &Mutex<NvmeDevice>,
+    device: &DeviceHandle,
     (lba, lbas): (u64, u64),
     first: u64,
     pages: u64,
@@ -151,8 +139,13 @@ fn read_pages(
     while p < end {
         let at = p % lbas;
         let run = READ_BATCH.min(end - p).min(lbas - at);
-        let (c, data) = device.lock().unwrap().read(lba + at, run, t)?;
-        t = t.max(c.done_at);
+        let read = SqeOp::Read {
+            lba: lba + at,
+            blocks: run,
+        };
+        let (done, result) = device.submit(read, t);
+        let data = result.into_result()?;
+        t = t.max(done);
         p += run;
         let Some(data) = data else { break };
         buf.extend_from_slice(&data);
@@ -169,7 +162,7 @@ fn read_pages(
 /// and a previous lap's stale data all end the scan. Returns the bytes
 /// from the tail's page floor up to the head, and the completion time.
 fn scan_wal(
-    device: &Mutex<NvmeDevice>,
+    device: &DeviceHandle,
     layout: &Layout,
     tail: u64,
     now: SimTime,
@@ -205,8 +198,11 @@ fn scan_wal(
 
 impl PassthruBackend {
     /// Creates a backend over a fresh device, taking the whole LBA space.
-    pub fn new(device: Arc<Mutex<NvmeDevice>>, clock: SharedClock) -> Self {
-        let capacity = device.lock().unwrap().capacity_blocks();
+    pub fn new(device: DeviceHandle, clock: SharedClock) -> Self {
+        let capacity = device
+            .lock()
+            .expect("device mutex poisoned")
+            .capacity_blocks();
         let layout = Layout::default_for(capacity);
         Self::new_at(device, clock, layout, PidSet::for_shard(0))
     }
@@ -216,24 +212,20 @@ impl PassthruBackend {
     /// of these over one device; each formats (deallocates) only its own
     /// slice — use [`PassthruBackend::recover_at`] to adopt existing state
     /// instead. The caller is responsible for handing out disjoint layouts.
-    pub fn new_at(
-        device: Arc<Mutex<NvmeDevice>>,
-        clock: SharedClock,
-        layout: Layout,
-        pids: PidSet,
-    ) -> Self {
+    pub fn new_at(device: DeviceHandle, clock: SharedClock, layout: Layout, pids: PidSet) -> Self {
         let blocks = layout.end_lba() - layout.meta_lba;
-        device
-            .lock()
-            .unwrap()
-            .deallocate(layout.meta_lba, blocks, SimTime::ZERO)
-            .expect("format LBA range");
+        let format = SqeOp::Deallocate {
+            lba: layout.meta_lba,
+            blocks,
+        };
+        let (_, formatted) = device.submit(format, SimTime::ZERO);
+        formatted.into_result().expect("format LBA range");
         let wal = WalLog::new(layout.wal_lba, layout.wal_lbas);
         Self::build(device, clock, layout, pids, wal, SlotTable::default(), 0)
     }
 
     fn build(
-        device: Arc<Mutex<NvmeDevice>>,
+        device: DeviceHandle,
         clock: SharedClock,
         layout: Layout,
         pids: PidSet,
@@ -242,9 +234,8 @@ impl PassthruBackend {
         epoch: u64,
     ) -> Self {
         PassthruBackend {
-            wal_ring: IoUring::new_enter(Arc::clone(&device), clock.clone(), RING_DEPTH),
-            snap_ring: IoUring::new_sqpoll(Arc::clone(&device), clock.clone(), RING_DEPTH),
-            device,
+            wal_ring: IoUring::new(device.clone(), clock.clone(), RING_DEPTH, RingMode::Enter),
+            snap_ring: IoUring::new(device, clock.clone(), RING_DEPTH, RingMode::SqPoll),
             clock,
             costs: PassthruCosts::default(),
             layout,
@@ -259,11 +250,11 @@ impl PassthruBackend {
 
     /// Rebuilds a backend from a device that already holds SlimIO state —
     /// the §4.2 recovery procedure over the whole LBA space.
-    pub fn recover(
-        device: Arc<Mutex<NvmeDevice>>,
-        clock: SharedClock,
-    ) -> Result<Self, BackendError> {
-        let capacity = device.lock().unwrap().capacity_blocks();
+    pub fn recover(device: DeviceHandle, clock: SharedClock) -> Result<Self, BackendError> {
+        let capacity = device
+            .lock()
+            .expect("device mutex poisoned")
+            .capacity_blocks();
         let layout = Layout::default_for(capacity);
         Self::recover_at(device, clock, layout, PidSet::for_shard(0))
     }
@@ -275,7 +266,7 @@ impl PassthruBackend {
     /// tail to the durable head — once: the scanned bytes are kept for the
     /// engine's replay.
     pub fn recover_at(
-        device: Arc<Mutex<NvmeDevice>>,
+        device: DeviceHandle,
         clock: SharedClock,
         layout: Layout,
         pids: PidSet,
@@ -310,14 +301,9 @@ impl PassthruBackend {
         self.pids
     }
 
-    /// The device handle.
-    pub fn device(&self) -> &Arc<Mutex<NvmeDevice>> {
-        &self.device
-    }
-
-    /// Current device write amplification.
-    pub fn waf(&self) -> f64 {
-        self.device.lock().unwrap().waf()
+    /// The device both rings submit to.
+    pub fn device(&self) -> &DeviceHandle {
+        self.wal_ring.device()
     }
 
     /// Current slot table (diagnostics).
@@ -332,12 +318,7 @@ impl PassthruBackend {
     }
 
     /// Submits one operation to a ring, draining it on backpressure.
-    fn submit(
-        ring: &mut IoUring,
-        device: &Mutex<NvmeDevice>,
-        op: SqeOp,
-        now: SimTime,
-    ) -> Result<(), BackendError> {
+    fn submit(ring: &mut IoUring, op: SqeOp, now: SimTime) -> Result<(), BackendError> {
         // No cookie: a completion carries all a re-drive needs.
         let mut sqe = Sqe {
             user_data: 0,
@@ -350,7 +331,7 @@ impl PassthruBackend {
                 Err(RingError::SqFull(back)) => {
                     sqe = *back;
                     ring.enter();
-                    Self::reap(ring, device)?;
+                    Self::reap(ring)?;
                     std::thread::yield_now();
                 }
             }
@@ -365,7 +346,6 @@ impl PassthruBackend {
     /// these commands: what the crash matrix enumerates is what ships.
     fn submit_writes(
         ring: &mut IoUring,
-        device: &Mutex<NvmeDevice>,
         mut pages: Vec<PageWrite>,
         pid: Pid,
         now: SimTime,
@@ -389,29 +369,25 @@ impl PassthruBackend {
                 pid,
                 data: Some(data),
             };
-            Self::submit(ring, device, op, now)?;
+            Self::submit(ring, op, now)?;
         }
         Ok(())
     }
 
     /// Opportunistic reap, so completions don't pile up.
-    fn reap(ring: &mut IoUring, device: &Mutex<NvmeDevice>) -> Result<(), BackendError> {
+    fn reap(ring: &mut IoUring) -> Result<(), BackendError> {
         while let Some(cqe) = ring.reap() {
-            absorb_cqe(device, cqe)?;
+            absorb_cqe(ring.device(), cqe)?;
         }
         Ok(())
     }
 
     /// Waits out a ring, surfacing the first device error and returning
     /// the latest completion time.
-    fn drain(
-        ring: &mut IoUring,
-        device: &Mutex<NvmeDevice>,
-        now: SimTime,
-    ) -> Result<SimTime, BackendError> {
+    fn drain(ring: &mut IoUring, now: SimTime) -> Result<SimTime, BackendError> {
         let mut t = now;
         for cqe in ring.wait_all() {
-            t = t.max(absorb_cqe(device, cqe)?);
+            t = t.max(absorb_cqe(ring.device(), cqe)?);
         }
         Ok(t)
     }
@@ -422,18 +398,18 @@ impl PassthruBackend {
             lba: self.layout.meta_lba + record.target_lba(),
             data: record.encode().into_boxed_slice(),
         };
-        let (ring, device) = (&mut self.wal_ring, &self.device);
-        Self::submit_writes(ring, device, vec![page], self.pids.meta, now)?;
-        Self::submit(ring, device, SqeOp::Flush, now)?;
-        Self::drain(ring, device, now)
+        let ring = &mut self.wal_ring;
+        Self::submit_writes(ring, vec![page], self.pids.meta, now)?;
+        Self::submit(ring, SqeOp::Flush, now)?;
+        Self::drain(ring, now)
     }
 
     fn deallocate(&mut self, ranges: &[(u64, u64)], now: SimTime) -> Result<SimTime, BackendError> {
-        let (ring, device) = (&mut self.wal_ring, &self.device);
+        let ring = &mut self.wal_ring;
         for &(lba, blocks) in ranges.iter().filter(|r| r.1 > 0) {
-            Self::submit(ring, device, SqeOp::Deallocate { lba, blocks }, now)?;
+            Self::submit(ring, SqeOp::Deallocate { lba, blocks }, now)?;
         }
-        Self::drain(ring, device, now)
+        Self::drain(ring, now)
     }
 }
 
@@ -446,14 +422,14 @@ impl PersistBackend for PassthruBackend {
             .append(data)
             .map_err(|e| BackendError::Snapshot(e.to_string()))?;
         let n = pages.len() as u64;
-        let (ring, device) = (&mut self.wal_ring, &self.device);
-        Self::submit_writes(ring, device, pages, self.pids.wal, now)?;
+        let ring = &mut self.wal_ring;
+        Self::submit_writes(ring, pages, self.pids.wal, now)?;
         // The amortized `io_uring_enter`: every full page of this append is
         // handed to the device before the call returns, so only the staged
         // partial page waits for the next sync. The dedicated completion
         // handler (the paper's CQ thread) is modeled by the reap.
         ring.enter();
-        Self::reap(ring, device)?;
+        Self::reap(ring)?;
         // Submission-side cost only, charged per page even when runs
         // coalesce into fewer SQEs, so simulated figures do not depend on
         // batch geometry; the vectoring saves ring slots and device
@@ -468,11 +444,11 @@ impl PersistBackend for PassthruBackend {
     fn wal_sync(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
         self.clock.advance_to(now);
         let page = self.wal.sync_page().into_iter().collect();
-        let (ring, device) = (&mut self.wal_ring, &self.device);
-        Self::submit_writes(ring, device, page, self.pids.wal, now)?;
-        Self::submit(ring, device, SqeOp::Flush, now)?;
+        let ring = &mut self.wal_ring;
+        Self::submit_writes(ring, page, self.pids.wal, now)?;
+        Self::submit(ring, SqeOp::Flush, now)?;
         let cpu = self.costs.submit_enter(1) + self.costs.cqe_reap;
-        let done_at = Self::drain(ring, device, now + cpu)?;
+        let done_at = Self::drain(ring, now + cpu)?;
         Ok(IoTiming { done_at, cpu })
     }
 
@@ -528,11 +504,11 @@ impl PersistBackend for PassthruBackend {
         st.staged.drain(..full * LBA_BYTES);
         st.written_pages += full as u64;
         let pid = pid_of(self.pids, st.kind);
-        let (ring, device) = (&mut self.snap_ring, &self.device);
-        Self::submit_writes(ring, device, pages, pid, now)?;
+        let ring = &mut self.snap_ring;
+        Self::submit_writes(ring, pages, pid, now)?;
         // SQPOLL: ring pushes; at most the first pays a wake-up.
         let cpu = self.costs.submit_sqpoll((full as u64).max(1));
-        Self::reap(ring, device)?;
+        Self::reap(ring)?;
         Ok(IoTiming {
             done_at: now + cpu,
             cpu,
@@ -545,7 +521,7 @@ impl PersistBackend for PassthruBackend {
             .snap
             .take()
             .ok_or_else(|| BackendError::Snapshot("no snapshot in progress".into()))?;
-        let (ring, device) = (&mut self.snap_ring, &self.device);
+        let ring = &mut self.snap_ring;
         // Final partial page, zero-padded.
         if !st.staged.is_empty() {
             if st.written_pages >= self.layout.slot_lbas {
@@ -558,11 +534,11 @@ impl PersistBackend for PassthruBackend {
                 lba: self.layout.slot_lba(st.slot) + st.written_pages,
                 data: st.staged.into_boxed_slice(),
             };
-            Self::submit_writes(ring, device, vec![page], pid_of(self.pids, st.kind), now)?;
+            Self::submit_writes(ring, vec![page], pid_of(self.pids, st.kind), now)?;
         }
         // 1. Snapshot data durable.
-        Self::submit(ring, device, SqeOp::Flush, now)?;
-        let t_data = Self::drain(ring, device, now)?;
+        Self::submit(ring, SqeOp::Flush, now)?;
+        let t_data = Self::drain(ring, now)?;
 
         // 2. Promote the reserve slot; advance the WAL tail for
         //    WAL-snapshots; commit metadata atomically.
@@ -597,7 +573,7 @@ impl PersistBackend for PassthruBackend {
     fn snapshot_abort(&mut self, now: SimTime) -> Result<IoTiming, BackendError> {
         if let Some(st) = self.snap.take() {
             // Drain in-flight writes, then discard the reserve slot pages.
-            let t = Self::drain(&mut self.snap_ring, &self.device, now)?;
+            let t = Self::drain(&mut self.snap_ring, now)?;
             let slot_lba = self.layout.slot_lba(st.slot);
             if st.written_pages > 0 {
                 self.deallocate(&[(slot_lba, st.written_pages)], t)?;
@@ -619,7 +595,7 @@ impl PersistBackend for PassthruBackend {
         let slot = self.layout.slot_lba(self.slots.slot_of(role));
         let (region, pages) = ((slot, self.layout.slot_lbas), len.div_ceil(PAGE));
         let mut data = Vec::with_capacity((pages * PAGE) as usize);
-        let done_at = read_pages(&self.device, region, 0, pages, now, &mut data, |_| true)?;
+        let done_at = read_pages(self.device(), region, 0, pages, now, &mut data, |_| true)?;
         data.truncate(len as usize);
         // Batched passthru reads: one submission per batch, no per-page
         // syscalls.
@@ -630,14 +606,14 @@ impl PersistBackend for PassthruBackend {
 
     fn load_wal(&mut self, now: SimTime) -> Result<(Vec<u8>, IoTiming), BackendError> {
         // Make sure every accepted append has executed.
-        let t0 = Self::drain(&mut self.wal_ring, &self.device, now)?;
+        let t0 = Self::drain(&mut self.wal_ring, now)?;
         if let Some(log) = self.recovered_wal.take() {
             return Ok((log, IoTiming::instant(t0)));
         }
         // A live backend reads its own log the way a restart would: the
         // same scan, so what comes back is what the device holds.
         let tail = self.wal.tail();
-        let (mut log, done_at) = scan_wal(&self.device, &self.layout, tail, t0)?;
+        let (mut log, done_at) = scan_wal(self.device(), &self.layout, tail, t0)?;
         let batches = (log.len() as u64).div_ceil(READ_BATCH * PAGE).max(1);
         log.drain(..(tail % PAGE) as usize);
         let cpu = self.costs.submit_enter(batches);
@@ -651,14 +627,12 @@ mod tests {
     use slimio_ftl::PlacementMode;
     use slimio_nvme::DeviceConfig;
 
-    fn device() -> Arc<Mutex<NvmeDevice>> {
-        Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-            PlacementMode::Fdp { max_pids: 8 },
-        ))))
+    fn device() -> DeviceHandle {
+        DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Fdp { max_pids: 8 }))
     }
 
-    fn backend(dev: &Arc<Mutex<NvmeDevice>>) -> PassthruBackend {
-        PassthruBackend::new(Arc::clone(dev), SharedClock::new())
+    fn backend(dev: &DeviceHandle) -> PassthruBackend {
+        PassthruBackend::new(dev.clone(), SharedClock::new())
     }
 
     fn wal_record(seq: u64, payload_len: usize) -> Vec<u8> {
@@ -697,10 +671,10 @@ mod tests {
         // fewer device write commands than pages.
         let rec = wal_record(1, 16 * LBA_BYTES);
         let pages = rec.len().div_ceil(LBA_BYTES) as u64;
-        let before = dev.lock().unwrap().write_commands();
+        let before = dev.counters().write_commands;
         b.wal_append(&rec, SimTime::ZERO).unwrap();
         b.wal_sync(SimTime::ZERO).unwrap();
-        let coalesced = dev.lock().unwrap().write_commands() - before;
+        let coalesced = dev.counters().write_commands - before;
         assert!(
             coalesced < pages,
             "expected < {pages} write commands, saw {coalesced}"
@@ -729,8 +703,7 @@ mod tests {
             b.snapshot_chunk(&vec![7u8; 70 * LBA_BYTES + 9], SimTime::ZERO)
                 .unwrap();
             b.snapshot_commit(SimTime::ZERO).unwrap();
-            let cmds = dev.lock().unwrap().write_commands();
-            cmds
+            dev.counters().write_commands
         };
         assert_eq!(run(true), run(false));
     }
@@ -837,7 +810,7 @@ mod tests {
             }
             b.wal_sync(SimTime::ZERO).unwrap();
         } // drop = crash (rings drained on drop; device retains NAND state)
-        let mut r = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+        let mut r = PassthruBackend::recover(dev.clone(), SharedClock::new()).unwrap();
         let (snap, _) = r
             .load_snapshot(SnapshotKind::WalSnapshot, SimTime::ZERO)
             .unwrap();
@@ -859,7 +832,7 @@ mod tests {
             // Unsynced: staged partial page never hits the device.
             b.wal_append(&wal_record(2, 50), SimTime::ZERO).unwrap();
         }
-        let mut r = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+        let mut r = PassthruBackend::recover(dev.clone(), SharedClock::new()).unwrap();
         let (wal, _) = r.load_wal(SimTime::ZERO).unwrap();
         let recs = walcodec::replay(&wal);
         assert_eq!(recs.len(), 1);
@@ -884,7 +857,7 @@ mod tests {
                 .unwrap();
             // No commit — power cut here.
         }
-        let mut r = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+        let mut r = PassthruBackend::recover(dev.clone(), SharedClock::new()).unwrap();
         let (snap, _) = r
             .load_snapshot(SnapshotKind::OnDemand, SimTime::ZERO)
             .unwrap();
@@ -932,7 +905,7 @@ mod tests {
             );
         }
         dev.lock().unwrap().power_on();
-        let mut r = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+        let mut r = PassthruBackend::recover(dev.clone(), SharedClock::new()).unwrap();
         let (wal, _) = r.load_wal(SimTime::ZERO).unwrap();
         let recs = walcodec::replay(&wal);
         assert_eq!(recs.len(), 1);
@@ -956,7 +929,8 @@ mod tests {
             b.snapshot_chunk(&vec![1u8; 40_000], SimTime::ZERO).unwrap();
             b.snapshot_commit(SimTime::ZERO).unwrap();
         }
-        assert!((b.waf() - 1.0).abs() < 1e-12, "WAF {}", b.waf());
+        let waf = dev.telemetry().waf;
+        assert!((waf - 1.0).abs() < 1e-12, "WAF {waf}");
     }
 
     #[test]
@@ -1011,9 +985,9 @@ mod tests {
         let snapshot = db.backend().slot_table().len_of(SlotRole::WalSnapshot);
         drop(db); // crash
 
-        let reads = || dev.lock().unwrap().telemetry().reads;
+        let reads = || dev.telemetry().reads;
         let before = reads();
-        let r = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+        let r = PassthruBackend::recover(dev.clone(), SharedClock::new()).unwrap();
         assert_eq!(r.wal_len(), live, "the scan must cross the wrap");
         let (db, _) = Db::recover(r, cfg, SimTime::ZERO).unwrap();
         assert_eq!((db.seq(), db.len()), (seq, 8));

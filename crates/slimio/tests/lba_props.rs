@@ -7,16 +7,13 @@
 //! never a torn mix of generations. Scripts come from the workspace's
 //! deterministic PRNG so every case reproduces from its seed.
 
-use std::sync::Arc;
-use std::sync::Mutex;
-
 use slimio::wal_log::WalLog;
 use slimio::PassthruBackend;
 use slimio_des::{SimTime, Xoshiro256};
 use slimio_ftl::PlacementMode;
 use slimio_imdb::backend::{PersistBackend, SnapshotKind};
 use slimio_imdb::wal::{encode, replay, WalRecord};
-use slimio_nvme::{DeviceConfig, NvmeDevice};
+use slimio_nvme::{DeviceConfig, DeviceHandle};
 use slimio_uring::SharedClock;
 
 #[derive(Clone, Debug)]
@@ -62,10 +59,8 @@ fn random_script_crash_recovers_consistently() {
         let n = 1 + rng.gen_range(59) as usize;
         let ops: Vec<Op> = (0..n).map(|_| gen_op(&mut rng)).collect();
 
-        let dev = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-            PlacementMode::Fdp { max_pids: 8 },
-        ))));
-        let mut backend = PassthruBackend::new(Arc::clone(&dev), SharedClock::new());
+        let dev = DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Fdp { max_pids: 8 }));
+        let mut backend = PassthruBackend::new(dev.clone(), SharedClock::new());
         let t = SimTime::ZERO;
         let mut seq = 0u64;
         let mut synced: Vec<u64> = Vec::new();
@@ -137,7 +132,7 @@ fn random_script_crash_recovers_consistently() {
         }
         drop(backend); // crash
 
-        let mut rec = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+        let mut rec = PassthruBackend::recover(dev.clone(), SharedClock::new()).unwrap();
 
         // Committed snapshots are intact. (A zero-length commit is
         // indistinguishable from "no snapshot" — the engine never produces

@@ -8,14 +8,11 @@
 //! runs each table cell in seconds; `--full` in the bench binaries sets
 //! `s = 1`.
 
-use std::sync::Arc;
-
 use slimio_des::SimTime;
 use slimio_kpath::FsProfile;
 use slimio_nand::{Geometry, Latencies};
-use slimio_nvme::{DeviceConfig, NvmeDevice};
+use slimio_nvme::{DeviceConfig, DeviceHandle};
 use slimio_workload::{RedisBench, Scale, WorkloadGen, YcsbA};
-use std::sync::Mutex;
 
 use crate::cost::CostModel;
 use crate::model::{Policy, RunResult, SystemConfig, SystemModel};
@@ -112,7 +109,7 @@ impl Experiment {
     }
 
     /// Builds the emulated device for this experiment.
-    pub fn build_device(&self) -> Arc<Mutex<NvmeDevice>> {
+    pub fn build_device(&self) -> DeviceHandle {
         let geometry = Geometry::scaled((self.scale * self.device_ratio).min(1.0));
         let ftl = match self.stack {
             StackKind::PassthruFdp => {
@@ -127,18 +124,18 @@ impl Experiment {
             }
             _ => slimio_ftl::FtlConfig::conventional(geometry),
         };
-        Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig {
+        DeviceHandle::new(DeviceConfig {
             ftl,
             latencies: Latencies::default(),
             store_data: false,
             // FEMU's black-box FTL ignores Dataset Management: on the
             // emulated testbed, invalidation happens only by overwrite.
             honor_deallocate: false,
-        })))
+        })
     }
 
     /// Builds the I/O path over `device`.
-    pub fn build_path(&self, device: Arc<Mutex<NvmeDevice>>) -> Box<dyn PathModel> {
+    pub fn build_path(&self, device: DeviceHandle) -> Box<dyn PathModel> {
         match self.stack {
             StackKind::KernelExt4 => Box::new(KernelPath::new(device, FsProfile::ext4())),
             StackKind::KernelF2fs => Box::new(KernelPath::new(device, FsProfile::f2fs())),
@@ -202,8 +199,8 @@ impl Experiment {
     /// Fills every logical LBA once (an "aged" device with no free
     /// logical space at the FTL — the standard way to provoke sustained
     /// GC).
-    pub fn age(device: &Arc<Mutex<NvmeDevice>>) {
-        let mut dev = device.lock().unwrap();
+    pub fn age(device: &DeviceHandle) {
+        let mut dev = device.lock().expect("device mutex poisoned");
         let cap = dev.capacity_blocks();
         let mut lba = 0;
         while lba < cap {
@@ -220,7 +217,7 @@ impl Experiment {
         if self.age_device {
             Self::age(&device);
         }
-        let path = self.build_path(Arc::clone(&device));
+        let path = self.build_path(device.clone());
         let gen = self.build_workload();
         let preload = gen.preload_records();
         let mut model = SystemModel::new(self.system_config(), gen, path);

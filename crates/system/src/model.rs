@@ -555,8 +555,10 @@ impl<G: WorkloadGen, P: PathModel> SystemModel<G, P> {
         let duration = self
             .now
             .max(self.snapshot_times.iter().fold(SimTime::ZERO, |a, _| a));
-        let waf = self.path.device().lock().unwrap().ftl_stats().waf.clone();
-        let gc_passes = self.path.device().lock().unwrap().ftl_stats().gc_passes;
+        let (waf, gc_passes) = {
+            let dev = self.path.device().lock().expect("device mutex poisoned");
+            (dev.ftl_stats().waf.clone(), dev.ftl_stats().gc_passes)
+        };
         RunResult {
             ops: self.ops_done,
             duration,
@@ -588,10 +590,10 @@ impl<G: WorkloadGen, P: PathModel> SystemModel<G, P> {
 mod dbg_tests {
     use super::*;
     use crate::stack::{LaneTiming, PathModel};
-    use std::sync::Arc;
+    use slimio_nvme::DeviceHandle;
 
     struct StubPath {
-        dev: Arc<std::sync::Mutex<slimio_nvme::NvmeDevice>>,
+        dev: DeviceHandle,
         wal: u64,
     }
     impl PathModel for StubPath {
@@ -626,7 +628,7 @@ mod dbg_tests {
                 cpu: SimTime::ZERO,
             }
         }
-        fn device(&self) -> &Arc<std::sync::Mutex<slimio_nvme::NvmeDevice>> {
+        fn device(&self) -> &DeviceHandle {
             &self.dev
         }
         fn snap_io_cpu(&self) -> SimTime {
@@ -642,9 +644,9 @@ mod dbg_tests {
 
     #[test]
     fn ops_continue_during_snapshots() {
-        let dev = Arc::new(std::sync::Mutex::new(slimio_nvme::NvmeDevice::new(
-            slimio_nvme::DeviceConfig::tiny(slimio_ftl::PlacementMode::Conventional),
-        )));
+        let dev = DeviceHandle::new(slimio_nvme::DeviceConfig::tiny(
+            slimio_ftl::PlacementMode::Conventional,
+        ));
         let gen = slimio_workload::RedisBench::new(slimio_workload::Scale::ratio(0.002), 1);
         let cfg = SystemConfig {
             wal_snapshot_threshold: 10_000_000, // ~10MB -> several rotations

@@ -8,13 +8,10 @@
 //! passthru reads (as `PassthruBackend::load_snapshot` does). The paper measures 55.4 s /
 //! 374.8 MB/s (baseline) vs 44.1 s / 471.1 MB/s (SlimIO) for ~20 GB.
 
-use std::sync::Arc;
-
 use slimio_des::SimTime;
 use slimio_kpath::{FsProfile, KernelCosts, SimFs};
-use slimio_nvme::{NvmeDevice, LBA_BYTES};
+use slimio_nvme::{Command, DeviceHandle, LBA_BYTES};
 use slimio_uring::PassthruCosts;
-use std::sync::Mutex;
 
 use crate::experiment::{Experiment, StackKind};
 
@@ -69,7 +66,7 @@ const CHUNK: u64 = 64 * 1024;
 
 fn kernel_recovery(
     exp: &Experiment,
-    device: Arc<Mutex<NvmeDevice>>,
+    device: DeviceHandle,
     entries: u64,
     stream_bytes: u64,
 ) -> RecoveryResult {
@@ -105,26 +102,20 @@ fn kernel_recovery(
     }
 }
 
-fn passthru_recovery(
-    device: Arc<Mutex<NvmeDevice>>,
-    entries: u64,
-    stream_bytes: u64,
-) -> RecoveryResult {
+fn passthru_recovery(device: DeviceHandle, entries: u64, stream_bytes: u64) -> RecoveryResult {
     // Materialize the snapshot in a slot region (untimed).
-    let capacity = device.lock().unwrap().capacity_blocks();
-    let layout = slimio::layout::Layout::default_for(capacity);
+    let mut dev = device.lock().expect("device mutex poisoned");
+    let layout = slimio::layout::Layout::default_for(dev.capacity_blocks());
     let slot = layout.slot_lba(0);
     let pages = stream_bytes.div_ceil(LBA_BYTES as u64);
-    {
-        let mut dev = device.lock().unwrap();
-        let mut p = 0;
-        while p < pages {
-            let n = 256.min(pages - p);
-            dev.write(slot + p, n, 2, None, SimTime::ZERO)
-                .expect("fill");
-            p += n;
-        }
+    let mut p = 0;
+    while p < pages {
+        let n = 256.min(pages - p);
+        dev.write(slot + p, n, 2, None, SimTime::ZERO)
+            .expect("fill");
+        p += n;
     }
+    drop(dev);
     let costs = LoaderCosts::default();
     let ring = PassthruCosts::default();
     let batch_bytes = 128 * LBA_BYTES as u64; // the backend's read batch
@@ -139,13 +130,10 @@ fn passthru_recovery(
     while off < stream_bytes {
         let len = batch_bytes.min(stream_bytes - off);
         let lba = slot + off / LBA_BYTES as u64;
-        read_done = {
-            let mut dev = device.lock().unwrap();
-            dev.read(lba, len.div_ceil(LBA_BYTES as u64), read_done)
-                .expect("read")
-                .0
-                .done_at
-        };
+        let blocks = len.div_ceil(LBA_BYTES as u64);
+        let (done, result) = device.submit(Command::Read { lba, blocks }, read_done);
+        result.into_result().expect("read");
+        read_done = done;
         let parse = costs.per_byte.mul(len) + costs.per_entry.mul_f64(entries_per_batch);
         parse_done = parse_done.max(read_done) + parse + ring.submit_sqpoll(1);
         off += len;

@@ -10,16 +10,14 @@
 //! when GC stalls the dies, the window fills and the submitter blocks).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use slimio::layout::Layout;
 use slimio::pids;
 use slimio::slots::{SlotRole, SlotTable};
 use slimio_des::SimTime;
 use slimio_kpath::{Fd, FsProfile, KernelCosts, SimFs};
-use slimio_nvme::{NvmeDevice, LBA_BYTES};
+use slimio_nvme::{Command, DeviceHandle, LBA_BYTES};
 use slimio_uring::PassthruCosts;
-use std::sync::Mutex;
 
 /// Timing of one path operation as seen by the calling lane.
 #[derive(Clone, Copy, Debug, Default)]
@@ -45,7 +43,7 @@ pub trait PathModel {
     /// Seals the snapshot: data durable, previous generation discarded.
     fn snap_commit(&mut self, now: SimTime) -> LaneTiming;
     /// The shared device.
-    fn device(&self) -> &Arc<Mutex<NvmeDevice>>;
+    fn device(&self) -> &DeviceHandle;
     /// Cumulative I/O-path CPU charged to the snapshot lane (Fig. 2a).
     fn snap_io_cpu(&self) -> SimTime;
     /// Cumulative blocking the snapshot lane spent waiting on the device
@@ -75,7 +73,7 @@ impl<P: PathModel + ?Sized> PathModel for Box<P> {
     fn snap_commit(&mut self, now: SimTime) -> LaneTiming {
         (**self).snap_commit(now)
     }
-    fn device(&self) -> &Arc<Mutex<NvmeDevice>> {
+    fn device(&self) -> &DeviceHandle {
         (**self).device()
     }
     fn snap_io_cpu(&self) -> SimTime {
@@ -87,11 +85,6 @@ impl<P: PathModel + ?Sized> PathModel for Box<P> {
     fn fs_cpu_snapshot(&self) -> SimTime {
         (**self).fs_cpu_snapshot()
     }
-}
-
-/// Current device WAF, shared helper.
-pub fn device_waf(dev: &Arc<Mutex<NvmeDevice>>) -> f64 {
-    dev.lock().unwrap().waf()
 }
 
 // ---------------------------------------------------------------------
@@ -119,7 +112,7 @@ pub struct KernelPath {
 
 impl KernelPath {
     /// Mounts the baseline stack with the given FS profile.
-    pub fn new(device: Arc<Mutex<NvmeDevice>>, profile: FsProfile) -> Self {
+    pub fn new(device: DeviceHandle, profile: FsProfile) -> Self {
         let mut fs = SimFs::new(device, KernelCosts::default(), profile);
         let wal_fd = fs.create("wal.000000").expect("create wal");
         KernelPath {
@@ -222,7 +215,7 @@ impl PathModel for KernelPath {
         }
     }
 
-    fn device(&self) -> &Arc<Mutex<NvmeDevice>> {
+    fn device(&self) -> &DeviceHandle {
         self.fs.device()
     }
 
@@ -285,7 +278,7 @@ impl Window {
 
 /// SlimIO stack: WAL-Path and Snapshot-Path rings over raw LBA regions.
 pub struct PassthruPath {
-    device: Arc<Mutex<NvmeDevice>>,
+    device: DeviceHandle,
     layout: Layout,
     costs: PassthruCosts,
     slots: SlotTable,
@@ -309,17 +302,21 @@ pub struct PassthruPath {
 impl PassthruPath {
     /// Builds the passthru stack over `device`. `use_pids` selects FDP
     /// tagging (the device must be in FDP mode for the PIDs to matter).
-    pub fn new(device: Arc<Mutex<NvmeDevice>>, ring_depth: usize, use_pids: bool) -> Self {
-        let capacity = device.lock().unwrap().capacity_blocks();
+    pub fn new(device: DeviceHandle, ring_depth: usize, use_pids: bool) -> Self {
+        let capacity = device
+            .lock()
+            .expect("device mutex poisoned")
+            .capacity_blocks();
         let layout = Layout::default_for(capacity);
         // Formatting: SlimIO owns the LBA space (§4.2), so initialization
         // deallocates it wholesale — an aged device starts clean, exactly
         // like running blkdiscard before mounting a fresh deployment.
-        device
-            .lock()
-            .unwrap()
-            .deallocate(0, capacity, SimTime::ZERO)
-            .expect("format LBA space");
+        let format = Command::Deallocate {
+            lba: 0,
+            blocks: capacity,
+        };
+        let (_, formatted) = device.submit(format, SimTime::ZERO);
+        formatted.into_result().expect("format LBA space");
         PassthruPath {
             device,
             layout,
@@ -337,6 +334,26 @@ impl PassthruPath {
             snap_io_cpu: SimTime::ZERO,
             snap_dev_wait: SimTime::ZERO,
         }
+    }
+
+    /// Executes one command on the device; returns its completion time.
+    /// Every command stays inside the formatted LBA space, so a failure
+    /// is a bug in this path's bookkeeping.
+    fn submit(&self, cmd: Command, at: SimTime) -> SimTime {
+        let (done, result) = self.device.submit(cmd, at);
+        result.into_result().expect("passthru path command");
+        done
+    }
+
+    /// One timing-only page write at `lba` on stream `pid`.
+    fn write_page(&self, lba: u64, pid: slimio_ftl::Pid, at: SimTime) -> SimTime {
+        let write = Command::Write {
+            lba,
+            blocks: 1,
+            pid,
+            data: None,
+        };
+        self.submit(write, at)
     }
 
     /// Selects which slot role the next snapshot publishes to.
@@ -361,12 +378,7 @@ impl PassthruPath {
         let pid = self.pid(pids::WAL);
         for p in first_page..first_page + pages {
             let lba = self.layout.wal_lba + p % self.layout.wal_lbas;
-            let done = {
-                let mut dev = self.device.lock().unwrap();
-                dev.write(lba, 1, pid, None, issue)
-                    .expect("wal write")
-                    .done_at
-            };
+            let done = self.write_page(lba, pid, issue);
             issue = issue.max(self.wal_window.push(issue, done));
         }
         issue
@@ -398,12 +410,7 @@ impl PathModel for PassthruPath {
             // Rewrite the partial tail page in place.
             let p = self.wal_head / page;
             let lba = self.layout.wal_lba + p % self.layout.wal_lbas;
-            let done = {
-                let mut dev = self.device.lock().unwrap();
-                dev.write(lba, 1, self.pid(pids::WAL), None, now)
-                    .expect("tail write")
-                    .done_at
-            };
+            let done = self.write_page(lba, self.pid(pids::WAL), now);
             self.wal_window.push(now, done);
         }
         t = t.max(self.wal_window.drain(now));
@@ -444,13 +451,8 @@ impl PathModel for PassthruPath {
         let mut issue = now;
         for p in first..end {
             let lba = slot_lba + (p % self.layout.slot_lbas);
-            let c = {
-                let mut dev = self.device.lock().unwrap();
-                dev.write(lba, 1, pid, None, issue)
-                    .expect("snap write")
-                    .done_at
-            };
-            issue = issue.max(self.snap_window.push(issue, c));
+            let done = self.write_page(lba, pid, issue);
+            issue = issue.max(self.snap_window.push(issue, done));
         }
         let done = (now + cpu).max(issue);
         self.snap_io_cpu += cpu;
@@ -465,14 +467,8 @@ impl PathModel for PassthruPath {
         self.snap_dev_wait += t_data.saturating_sub(now);
         // 2. Promote + metadata page.
         let (_, demoted) = self.slots.promote(self.snap_role, self.snap_written);
-        let t_meta = {
-            let mut dev = self.device.lock().unwrap();
-            dev.write(self.layout.meta_lba, 1, self.pid(pids::META), None, t_data)
-                .expect("meta write")
-                .done_at
-        };
+        let t_meta = self.write_page(self.layout.meta_lba, self.pid(pids::META), t_data);
         // 3. Deallocate superseded data.
-        let mut dev = self.device.lock().unwrap();
         let page = LBA_BYTES as u64;
         if self.rotate_pending {
             let first_dead = self.wal_tail / page;
@@ -480,24 +476,26 @@ impl PathModel for PassthruPath {
             let mut p = first_dead;
             while p < end_dead {
                 let slot = p % self.layout.wal_lbas;
-                let run = (self.layout.wal_lbas - slot).min(end_dead - p);
-                dev.deallocate(self.layout.wal_lba + slot, run, t_meta)
-                    .expect("wal trim");
-                p += run;
+                let blocks = (self.layout.wal_lbas - slot).min(end_dead - p);
+                let lba = self.layout.wal_lba + slot;
+                self.submit(Command::Deallocate { lba, blocks }, t_meta);
+                p += blocks;
             }
             self.wal_tail = self.fork_tail;
             self.rotate_pending = false;
         }
-        dev.deallocate(self.layout.slot_lba(demoted), self.layout.slot_lbas, t_meta)
-            .expect("slot trim");
-        drop(dev);
+        let demoted = Command::Deallocate {
+            lba: self.layout.slot_lba(demoted),
+            blocks: self.layout.slot_lbas,
+        };
+        self.submit(demoted, t_meta);
         LaneTiming {
             done_at: t_meta,
             cpu,
         }
     }
 
-    fn device(&self) -> &Arc<Mutex<NvmeDevice>> {
+    fn device(&self) -> &DeviceHandle {
         &self.device
     }
 
@@ -521,18 +519,18 @@ mod tests {
     use slimio_nand::{Geometry, Latencies};
     use slimio_nvme::DeviceConfig;
 
-    fn timing_device(mode: PlacementMode) -> Arc<Mutex<NvmeDevice>> {
+    fn timing_device(mode: PlacementMode) -> DeviceHandle {
         let geometry = Geometry::scaled(0.05);
         let ftl = match mode {
             PlacementMode::Conventional => FtlConfig::conventional(geometry),
             PlacementMode::Fdp { .. } => FtlConfig::fdp_with_ru(geometry, 64 * 1024 * 1024),
         };
-        Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig {
+        DeviceHandle::new(DeviceConfig {
             ftl,
             latencies: Latencies::default(),
             store_data: false,
             honor_deallocate: true,
-        })))
+        })
     }
 
     #[test]
@@ -623,7 +621,7 @@ mod tests {
     #[test]
     fn fdp_path_keeps_waf_one_across_rotations() {
         let dev = timing_device(PlacementMode::Fdp { max_pids: 8 });
-        let mut p = PassthruPath::new(Arc::clone(&dev), 256, true);
+        let mut p = PassthruPath::new(dev.clone(), 256, true);
         let mut t = SimTime::ZERO;
         for _ in 0..3 {
             // Push a WAL generation's worth of traffic, then rotate.
@@ -639,11 +637,8 @@ mod tests {
             let r = p.snap_commit(t);
             t = r.done_at;
         }
-        assert!(
-            (device_waf(&dev) - 1.0).abs() < 1e-9,
-            "WAF {}",
-            device_waf(&dev)
-        );
+        let waf = dev.telemetry().waf;
+        assert!((waf - 1.0).abs() < 1e-9, "WAF {waf}");
     }
 
     #[test]
@@ -655,13 +650,13 @@ mod tests {
         // snapshot ≈ 12%) keep utilization high enough that GC must run
         // while mixed RUs still hold live snapshot pages → relocations.
         let geometry = Geometry::scaled(0.02); // 2 GiB device
-        let dev = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig {
+        let dev = DeviceHandle::new(DeviceConfig {
             ftl: FtlConfig::conventional(geometry),
             latencies: Latencies::default(),
             store_data: false,
             honor_deallocate: true,
-        })));
-        let mut p = PassthruPath::new(Arc::clone(&dev), 1 << 20, false);
+        });
+        let mut p = PassthruPath::new(dev.clone(), 1 << 20, false);
         let mut t = SimTime::ZERO;
         let chunk = 256 * 1024u64;
         let wal_gen_bytes = p.layout.wal_bytes() * 8 / 10;
@@ -698,10 +693,7 @@ mod tests {
             }
             t = p.snap_commit(t).done_at;
         }
-        assert!(
-            device_waf(&dev) > 1.005,
-            "conventional mixing should amplify: WAF {}",
-            device_waf(&dev)
-        );
+        let waf = dev.telemetry().waf;
+        assert!(waf > 1.005, "conventional mixing should amplify: WAF {waf}");
     }
 }

@@ -8,8 +8,10 @@
 //! * [`spsc::SpscRing`] — a lock-free single-producer/single-consumer ring
 //!   buffer (the SQ and CQ are exactly this in real io_uring: shared-memory
 //!   rings with one producer and one consumer each).
-//! * [`IoUring`] — an SQ/CQ pair bound to an emulated NVMe device
-//!   (`slimio-nvme`). Two operating modes:
+//! * [`IoUring`] — an SQ/CQ pair bound to an emulated NVMe device through
+//!   a `slimio_nvme::DeviceHandle`. An entry's [`SqeOp`] and its
+//!   completion's [`CqeResult`] are the device's own command and outcome
+//!   types, re-exported. Two operating modes:
 //!   - **SQPOLL** ([`RingMode::SqPoll`]): a dedicated poller thread drains
 //!     the SQ, so submission is just a ring push — no syscall, matching the
 //!     paper's Snapshot-Path configuration (§4.1) — plus one wake-up when

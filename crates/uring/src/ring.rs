@@ -1,5 +1,10 @@
 //! The SQ/CQ ring pair bound to an emulated NVMe device.
 //!
+//! A ring owns no device logic: each entry it executes goes to the
+//! device through [`DeviceHandle::submit`], and the ring adds only the
+//! queueing, the cookie and the shared clock. Rings built over clones of
+//! one [`DeviceHandle`] meet only there.
+//!
 //! An SQPOLL ring's poller is event-driven on the submission side, the
 //! way the kernel's is: it drains the SQ, keeps looking for
 //! `SQ_THREAD_IDLE` after the last entry, then publishes
@@ -17,12 +22,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use slimio_nvme::{DeviceError, NvmeDevice};
-use std::sync::Mutex;
+use slimio_nvme::DeviceHandle;
 
 use crate::clock::SharedClock;
 use crate::spsc::{self, Consumer, Producer};
-use crate::sqe::{Cqe, CqeResult, Sqe, SqeOp};
+use crate::sqe::{Cqe, Sqe};
 
 /// How long an SQPOLL poller keeps polling an empty SQ before it sleeps
 /// (io_uring's `sq_thread_idle`). `cargo bench -p slimio-bench --bench
@@ -112,7 +116,7 @@ enum Engine {
     },
 }
 
-/// An io_uring-like queue pair over an [`NvmeDevice`].
+/// An io_uring-like queue pair over an emulated NVMe device.
 ///
 /// One `IoUring` is owned by one submitting thread (like a real ring mapped
 /// into one process). Multiple rings may share a device — that is exactly
@@ -123,58 +127,19 @@ pub struct IoUring {
     sq_prod: Producer<Sqe>,
     cq_cons: Consumer<Cqe>,
     engine: Engine,
-    device: Arc<Mutex<NvmeDevice>>,
+    device: DeviceHandle,
     clock: SharedClock,
     outstanding: u64,
     stats: Arc<SqPollStats>,
 }
 
-/// Executes one SQE against the device and builds its CQE.
-fn execute(device: &Mutex<NvmeDevice>, clock: &SharedClock, sqe: Sqe) -> Cqe {
+/// Executes one SQE on the device and builds its CQE.
+fn execute(device: &DeviceHandle, clock: &SharedClock, sqe: Sqe) -> Cqe {
     let now = sqe.submitted_at.max(clock.now());
-    let user_data = sqe.user_data;
-    let mut dev = device.lock().unwrap();
-    let (completed_at, result) = match sqe.op {
-        SqeOp::Write {
-            lba,
-            blocks,
-            pid,
-            data,
-        } => match dev.write(lba, blocks, pid, data.as_deref(), now) {
-            Ok(c) => (
-                c.done_at,
-                CqeResult::Done {
-                    gc_copied: c.gc_copied,
-                },
-            ),
-            Err(DeviceError::Injected) => {
-                let op = SqeOp::Write {
-                    lba,
-                    blocks,
-                    pid,
-                    data,
-                };
-                (now, CqeResult::Requeue(Box::new(op)))
-            }
-            Err(e) => (now, CqeResult::Error(e)),
-        },
-        SqeOp::Read { lba, blocks } => match dev.read(lba, blocks, now) {
-            Ok((c, data)) => (c.done_at, CqeResult::Data(data)),
-            Err(e) => (now, CqeResult::Error(e)),
-        },
-        SqeOp::Deallocate { lba, blocks } => match dev.deallocate(lba, blocks, now) {
-            Ok(c) => (c.done_at, CqeResult::Done { gc_copied: 0 }),
-            Err(e) => (now, CqeResult::Error(e)),
-        },
-        SqeOp::Flush => match dev.flush(now) {
-            Ok(c) => (c.done_at, CqeResult::Done { gc_copied: 0 }),
-            Err(e) => (now, CqeResult::Error(e)),
-        },
-    };
-    drop(dev);
+    let (completed_at, result) = device.submit(sqe.op, now);
     clock.advance_to(completed_at);
     Cqe {
-        user_data,
+        user_data: sqe.user_data,
         completed_at,
         result,
     }
@@ -184,7 +149,7 @@ fn execute(device: &Mutex<NvmeDevice>, clock: &SharedClock, sqe: Sqe) -> Cqe {
 fn poll_sq(
     sq_cons: Consumer<Sqe>,
     cq_prod: Producer<Cqe>,
-    device: &Mutex<NvmeDevice>,
+    device: &DeviceHandle,
     clock: &SharedClock,
     shared: &Handshake,
     stats: &SqPollStats,
@@ -230,16 +195,18 @@ fn poll_sq(
 }
 
 impl IoUring {
-    /// Creates a ring pair of the given depth over `device`.
+    /// Creates a ring pair of the given depth over `device`: a
+    /// [`DeviceHandle`], or a shared device that converts into one.
     ///
     /// In [`RingMode::SqPoll`] a poller thread starts immediately and runs
     /// until the ring is dropped.
     pub fn new(
-        device: Arc<Mutex<NvmeDevice>>,
+        device: impl Into<DeviceHandle>,
         clock: SharedClock,
         depth: usize,
         mode: RingMode,
     ) -> Self {
+        let device = device.into();
         let (sq_prod, sq_cons) = spsc::ring::<Sqe>(depth);
         let (cq_prod, cq_cons) = spsc::ring::<Cqe>(depth * 2);
         let stats = Arc::new(SqPollStats::default());
@@ -247,7 +214,7 @@ impl IoUring {
             RingMode::Enter => Engine::Enter { sq_cons, cq_prod },
             RingMode::SqPoll => {
                 let shared = Arc::new(Handshake::default());
-                let (device, clock) = (Arc::clone(&device), clock.clone());
+                let (device, clock) = (device.clone(), clock.clone());
                 let (shared2, stats2) = (Arc::clone(&shared), Arc::clone(&stats));
                 let handle = std::thread::Builder::new()
                     .name("sqpoll".into())
@@ -270,16 +237,6 @@ impl IoUring {
         }
     }
 
-    /// Convenience: enter-mode ring.
-    pub fn new_enter(device: Arc<Mutex<NvmeDevice>>, clock: SharedClock, depth: usize) -> Self {
-        Self::new(device, clock, depth, RingMode::Enter)
-    }
-
-    /// Convenience: SQPOLL-mode ring.
-    pub fn new_sqpoll(device: Arc<Mutex<NvmeDevice>>, clock: SharedClock, depth: usize) -> Self {
-        Self::new(device, clock, depth, RingMode::SqPoll)
-    }
-
     /// The mode this ring runs in.
     pub fn mode(&self) -> RingMode {
         match self.engine {
@@ -291,6 +248,11 @@ impl IoUring {
     /// The shared clock.
     pub fn clock(&self) -> &SharedClock {
         &self.clock
+    }
+
+    /// The device this ring submits to.
+    pub fn device(&self) -> &DeviceHandle {
+        &self.device
     }
 
     /// Commands submitted but not yet reaped.
@@ -409,14 +371,21 @@ impl Drop for IoUring {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sqe::{CqeResult, SqeOp};
     use slimio_des::SimTime;
     use slimio_ftl::PlacementMode;
     use slimio_nvme::{DeviceConfig, LBA_BYTES};
 
-    fn device() -> Arc<Mutex<NvmeDevice>> {
-        Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-            PlacementMode::Fdp { max_pids: 4 },
-        ))))
+    fn device() -> DeviceHandle {
+        DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Fdp { max_pids: 4 }))
+    }
+
+    fn enter_ring(dev: &DeviceHandle, clock: SharedClock, depth: usize) -> IoUring {
+        IoUring::new(dev.clone(), clock, depth, RingMode::Enter)
+    }
+
+    fn sqpoll_ring(dev: &DeviceHandle, clock: SharedClock, depth: usize) -> IoUring {
+        IoUring::new(dev.clone(), clock, depth, RingMode::SqPoll)
     }
 
     fn write_sqe(user_data: u64, lba: u64, fill: u8) -> Sqe {
@@ -436,7 +405,7 @@ mod tests {
     fn enter_mode_write_read_roundtrip() {
         let dev = device();
         let clock = SharedClock::new();
-        let mut ring = IoUring::new_enter(Arc::clone(&dev), clock, 8);
+        let mut ring = enter_ring(&dev, clock, 8);
         ring.submit(write_sqe(1, 5, 0xEE)).unwrap();
         ring.submit(Sqe {
             user_data: 2,
@@ -457,7 +426,7 @@ mod tests {
     fn sqpoll_mode_processes_without_enter() {
         let dev = device();
         let clock = SharedClock::new();
-        let mut ring = IoUring::new_sqpoll(Arc::clone(&dev), clock, 8);
+        let mut ring = sqpoll_ring(&dev, clock, 8);
         assert_eq!(ring.mode(), RingMode::SqPoll);
         for i in 0..4 {
             ring.submit(write_sqe(i, i, i as u8)).unwrap();
@@ -481,7 +450,7 @@ mod tests {
 
     #[test]
     fn idle_poller_parks_and_the_next_submit_wakes_it() {
-        let mut ring = IoUring::new_sqpoll(device(), SharedClock::new(), 8);
+        let mut ring = sqpoll_ring(&device(), SharedClock::new(), 8);
         await_park(&ring, 0);
         assert_eq!(ring.sqpoll_stats().wakeups(), 0);
         ring.submit(write_sqe(1, 0, 1)).unwrap();
@@ -497,7 +466,7 @@ mod tests {
     #[test]
     fn submits_to_a_poller_that_is_awake_pay_no_wakeup() {
         let dev = device();
-        let mut ring = IoUring::new_sqpoll(Arc::clone(&dev), SharedClock::new(), 16);
+        let mut ring = sqpoll_ring(&dev, SharedClock::new(), 16);
         // Pin the poller inside `execute`: it pops the first entry and
         // blocks on the device, awake, for as long as this guard lives.
         let guard = dev.lock().unwrap();
@@ -526,7 +495,7 @@ mod tests {
     fn no_wakeup_is_lost_whenever_the_submit_lands() {
         const ROUNDS: u64 = 100_000;
         let mut rng = slimio_des::Xoshiro256::new(0x5EED_5157);
-        let mut ring = IoUring::new_sqpoll(device(), SharedClock::new(), 8);
+        let mut ring = sqpoll_ring(&device(), SharedClock::new(), 8);
         let mut next = 0u64;
         for _ in 0..ROUNDS {
             // Mostly back to back; one round in sixteen straddles the
@@ -571,8 +540,8 @@ mod tests {
     }
 
     /// Poisons `dev`'s mutex, so the next `execute` panics its thread.
-    fn poison(dev: &Arc<Mutex<NvmeDevice>>) {
-        let dev = Arc::clone(dev);
+    fn poison(dev: &DeviceHandle) {
+        let dev = dev.clone();
         let _ = std::thread::spawn(move || {
             let _guard = dev.lock().unwrap();
             panic!("poisoning the device mutex");
@@ -584,7 +553,7 @@ mod tests {
     #[should_panic(expected = "poller thread died with 1 commands outstanding")]
     fn wait_all_on_a_dead_poller_fails_instead_of_hanging() {
         let dev = device();
-        let mut ring = IoUring::new_sqpoll(Arc::clone(&dev), SharedClock::new(), 8);
+        let mut ring = sqpoll_ring(&dev, SharedClock::new(), 8);
         poison(&dev);
         ring.submit(write_sqe(1, 0, 1)).unwrap();
         ring.wait_all();
@@ -594,7 +563,7 @@ mod tests {
     #[should_panic(expected = "poller thread died; the SQ is full")]
     fn submit_to_a_full_sq_of_a_dead_poller_fails_instead_of_spinning() {
         let dev = device();
-        let mut ring = IoUring::new_sqpoll(Arc::clone(&dev), SharedClock::new(), 2);
+        let mut ring = sqpoll_ring(&dev, SharedClock::new(), 2);
         poison(&dev);
         // The backend's back-off: retry a full SQ until it drains.
         for i in 0.. {
@@ -607,14 +576,14 @@ mod tests {
     #[test]
     fn enter_is_noop_under_sqpoll() {
         let dev = device();
-        let mut ring = IoUring::new_sqpoll(dev, SharedClock::new(), 8);
+        let mut ring = sqpoll_ring(&dev, SharedClock::new(), 8);
         assert_eq!(ring.enter(), 0);
     }
 
     #[test]
     fn sq_full_hands_back_entry() {
         let dev = device();
-        let mut ring = IoUring::new_enter(dev, SharedClock::new(), 2);
+        let mut ring = enter_ring(&dev, SharedClock::new(), 2);
         ring.submit(write_sqe(1, 0, 1)).unwrap();
         ring.submit(write_sqe(2, 1, 2)).unwrap();
         match ring.submit(write_sqe(3, 2, 3)) {
@@ -632,7 +601,7 @@ mod tests {
     fn device_errors_surface_as_cqe_errors() {
         let dev = device();
         dev.lock().unwrap().power_off();
-        let mut ring = IoUring::new_enter(dev, SharedClock::new(), 4);
+        let mut ring = enter_ring(&dev, SharedClock::new(), 4);
         ring.submit(write_sqe(9, 0, 0)).unwrap();
         let cqes = ring.wait_all();
         assert_eq!(cqes.len(), 1);
@@ -643,7 +612,7 @@ mod tests {
     fn transiently_failed_write_comes_back_in_its_cqe() {
         let dev = device();
         dev.lock().unwrap().arm_fault("fail@1".parse().unwrap());
-        let mut ring = IoUring::new_enter(dev, SharedClock::new(), 4);
+        let mut ring = enter_ring(&dev, SharedClock::new(), 4);
         ring.submit(write_sqe(7, 3, 0xAB)).unwrap();
         let cqe = ring.wait_all().pop().unwrap();
         assert!(!cqe.is_ok());
@@ -665,11 +634,11 @@ mod tests {
         // topology. Both write disjoint ranges with different PIDs.
         let dev = device();
         let clock = SharedClock::new();
-        let mut wal_ring = IoUring::new_enter(Arc::clone(&dev), clock.clone(), 64);
-        let dev2 = Arc::clone(&dev);
+        let mut wal_ring = enter_ring(&dev, clock.clone(), 64);
+        let dev2 = dev.clone();
         let clock2 = clock.clone();
         let snapshot = std::thread::spawn(move || {
-            let mut snap_ring = IoUring::new_sqpoll(dev2, clock2, 64);
+            let mut snap_ring = sqpoll_ring(&dev2, clock2, 64);
             for i in 0..32u64 {
                 let mut sqe = Sqe {
                     user_data: i,
@@ -700,7 +669,7 @@ mod tests {
         assert_eq!(wal_done.len(), 32);
         assert_eq!(snapshot.join().unwrap(), 32);
         // Verify both ranges via a fresh ring.
-        let mut check = IoUring::new_enter(Arc::clone(&dev), clock, 8);
+        let mut check = enter_ring(&dev, clock, 8);
         check
             .submit(Sqe {
                 user_data: 0,
@@ -726,13 +695,13 @@ mod tests {
             }
         }
         // FDP separation held: disjoint PIDs, no GC copies needed ever.
-        assert!((dev.lock().unwrap().waf() - 1.0).abs() < 1e-12);
+        assert!((dev.telemetry().waf - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn flush_and_deallocate_complete() {
         let dev = device();
-        let mut ring = IoUring::new_enter(dev, SharedClock::new(), 8);
+        let mut ring = enter_ring(&dev, SharedClock::new(), 8);
         ring.submit(write_sqe(1, 0, 7)).unwrap();
         ring.submit(Sqe {
             user_data: 2,
@@ -756,7 +725,7 @@ mod tests {
     #[test]
     fn outstanding_tracks_inflight() {
         let dev = device();
-        let mut ring = IoUring::new_enter(dev, SharedClock::new(), 8);
+        let mut ring = enter_ring(&dev, SharedClock::new(), 8);
         assert_eq!(ring.outstanding(), 0);
         ring.submit(write_sqe(1, 0, 1)).unwrap();
         ring.submit(write_sqe(2, 1, 1)).unwrap();

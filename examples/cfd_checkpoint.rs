@@ -12,16 +12,13 @@
 //! cargo run --release --example cfd_checkpoint
 //! ```
 
-use std::sync::Arc;
-
 use slimio_suite::des::SimTime;
 use slimio_suite::ftl::PlacementMode;
 use slimio_suite::imdb::backend::SnapshotKind;
 use slimio_suite::imdb::{Db, DbConfig, LogPolicy};
-use slimio_suite::nvme::{DeviceConfig, NvmeDevice};
+use slimio_suite::nvme::{DeviceConfig, DeviceHandle};
 use slimio_suite::slimio::PassthruBackend;
 use slimio_suite::uring::SharedClock;
-use std::sync::Mutex;
 
 const PARTITIONS: u32 = 16;
 const TIMESTEPS: u32 = 40;
@@ -54,16 +51,14 @@ fn run_timestep(db: &mut Db<PassthruBackend>, step: u32) {
 }
 
 fn main() {
-    let device = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-        PlacementMode::Fdp { max_pids: 8 },
-    ))));
+    let device = DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Fdp { max_pids: 8 }));
     let cfg = DbConfig {
         policy: LogPolicy::Always,
         wal_snapshot_threshold: u64::MAX, // checkpoints are explicit here
         ..DbConfig::default()
     };
     let mut db = Db::new(
-        PassthruBackend::new(Arc::clone(&device), SharedClock::new()),
+        PassthruBackend::new(device.clone(), SharedClock::new()),
         cfg,
     );
 
@@ -78,7 +73,7 @@ fn main() {
             last_checkpoint = step;
             println!(
                 "checkpoint at timestep {step} (WAF {:.3})",
-                device.lock().unwrap().waf()
+                device.telemetry().waf
             );
         }
     }
@@ -87,8 +82,8 @@ fn main() {
 
     // Recovery. The engine replays snapshot + WAL, so we resume from the
     // *crash* point, not the checkpoint — the WAL covered the gap.
-    let backend = PassthruBackend::recover(Arc::clone(&device), SharedClock::new())
-        .expect("backend recovery");
+    let backend =
+        PassthruBackend::recover(device.clone(), SharedClock::new()).expect("backend recovery");
     let (mut db, replayed) = Db::recover(backend, cfg, SimTime::ZERO).expect("db recovery");
     let resumed_from: u32 = String::from_utf8(db.get(b"sim:last_step").unwrap().to_vec())
         .unwrap()
@@ -113,7 +108,7 @@ fn main() {
     println!(
         "simulation complete: {} keys, final WAF {:.3}",
         db.len(),
-        device.lock().unwrap().waf()
+        device.telemetry().waf
     );
     assert_eq!(
         &*db.get(b"sim:last_step").unwrap(),

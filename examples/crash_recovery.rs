@@ -14,29 +14,24 @@
 //! cargo run --release --example crash_recovery
 //! ```
 
-use std::sync::Arc;
-
 use slimio_suite::des::SimTime;
 use slimio_suite::ftl::PlacementMode;
 use slimio_suite::imdb::backend::{PersistBackend, SnapshotKind};
 use slimio_suite::imdb::wal::{encode, replay, WalRecord};
-use slimio_suite::nvme::{DeviceConfig, NvmeDevice};
+use slimio_suite::nvme::{DeviceConfig, DeviceHandle};
 use slimio_suite::slimio::PassthruBackend;
 use slimio_suite::uring::SharedClock;
-use std::sync::Mutex;
 
-fn device() -> Arc<Mutex<NvmeDevice>> {
-    Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-        PlacementMode::Fdp { max_pids: 8 },
-    ))))
+fn device() -> DeviceHandle {
+    DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Fdp { max_pids: 8 }))
 }
 
-fn fresh(dev: &Arc<Mutex<NvmeDevice>>) -> PassthruBackend {
-    PassthruBackend::new(Arc::clone(dev), SharedClock::new())
+fn fresh(dev: &DeviceHandle) -> PassthruBackend {
+    PassthruBackend::new(dev.clone(), SharedClock::new())
 }
 
-fn recover(dev: &Arc<Mutex<NvmeDevice>>) -> PassthruBackend {
-    PassthruBackend::recover(Arc::clone(dev), SharedClock::new()).expect("recovery")
+fn recover(dev: &DeviceHandle) -> PassthruBackend {
+    PassthruBackend::recover(dev.clone(), SharedClock::new()).expect("recovery")
 }
 
 fn wal_record(seq: u64) -> Vec<u8> {
@@ -108,7 +103,7 @@ fn main() {
     };
     {
         // Tear epoch 2's page (LBA parity 0).
-        let mut d = dev.lock().unwrap();
+        let mut d = dev.lock().expect("device mutex poisoned");
         d.write(meta_lba, 1, 0, Some(&vec![0xFF; 4096]), t).unwrap();
     }
     let mut b = recover(&dev);
@@ -143,8 +138,5 @@ fn main() {
     );
     assert_eq!(od.unwrap(), b"precious-backup");
 
-    println!(
-        "crash_recovery OK (device WAF {:.3})",
-        dev.lock().unwrap().waf()
-    );
+    println!("crash_recovery OK (device WAF {:.3})", dev.telemetry().waf);
 }

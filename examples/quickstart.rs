@@ -8,27 +8,22 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use std::sync::Arc;
-
 use slimio_suite::des::SimTime;
 use slimio_suite::ftl::PlacementMode;
 use slimio_suite::imdb::backend::SnapshotKind;
 use slimio_suite::imdb::{Db, DbConfig, LogPolicy};
-use slimio_suite::nvme::{DeviceConfig, NvmeDevice};
+use slimio_suite::nvme::{DeviceConfig, DeviceHandle};
 use slimio_suite::slimio::PassthruBackend;
 use slimio_suite::uring::SharedClock;
-use std::sync::Mutex;
 
 fn main() {
     // 1. An emulated FDP SSD (tiny geometry: 16 MiB — plenty for a demo).
-    let device = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-        PlacementMode::Fdp { max_pids: 8 },
-    ))));
+    let device = DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Fdp { max_pids: 8 }));
 
     // 2. The SlimIO backend: WAL-Path + Snapshot-Path rings, LBA regions,
     //    FDP placement IDs.
     let clock = SharedClock::new();
-    let backend = PassthruBackend::new(Arc::clone(&device), clock);
+    let backend = PassthruBackend::new(device.clone(), clock);
 
     // 3. A database with the default Periodical-Log policy.
     let cfg = DbConfig {
@@ -53,7 +48,7 @@ fn main() {
     db.snapshot_run(SnapshotKind::WalSnapshot, t).unwrap();
     println!(
         "snapshot committed; device WAF = {:.3}",
-        device.lock().unwrap().waf()
+        device.telemetry().waf
     );
 
     // 6. More writes after the snapshot land in the new WAL generation.
@@ -64,7 +59,7 @@ fn main() {
 
     // 8. Recover: read metadata, load the snapshot, replay the WAL tail.
     let recovered_backend =
-        PassthruBackend::recover(Arc::clone(&device), SharedClock::new()).expect("recover backend");
+        PassthruBackend::recover(device.clone(), SharedClock::new()).expect("recover backend");
     let (mut db2, replayed) = Db::recover(recovered_backend, cfg, t).expect("recover db");
     println!(
         "recovered {} keys (replayed {} WAL records after the snapshot)",

@@ -14,32 +14,27 @@
 //! cargo run --release --example waf_study
 //! ```
 
-use std::sync::Arc;
-
 use slimio_suite::des::SimTime;
 use slimio_suite::ftl::FtlConfig;
 use slimio_suite::metrics::Table;
 use slimio_suite::nand::{Geometry, Latencies};
 use slimio_suite::nvme::{DeviceConfig, NvmeDevice};
-use std::sync::Mutex;
 
 /// One WAL generation + snapshot rotation cycle, writing at raw LBA level
 /// with the SlimIO region layout. `separate` controls PID assignment.
-fn run_pattern(dev: &Arc<Mutex<NvmeDevice>>, separate: bool) -> f64 {
+fn run_pattern(d: &mut NvmeDevice, separate: bool) -> f64 {
     let t = SimTime::ZERO;
-    let capacity = dev.lock().unwrap().capacity_blocks();
+    let capacity = d.capacity_blocks();
     let layout = slimio_suite::slimio::layout::Layout::default_for(capacity);
     let pid = |stream: u8| if separate { stream } else { 0 };
     let chunk_pages = 64u64;
 
     // Long-lived on-demand snapshot in slot 2.
     let od_lba = layout.slot_lba(2);
-    let mut d = dev.lock().unwrap();
     for p in (0..layout.slot_lbas * 9 / 10).step_by(chunk_pages as usize) {
         let n = chunk_pages.min(layout.slot_lbas * 9 / 10 - p);
         d.write(od_lba + p, n, pid(3), None, t).unwrap();
     }
-    drop(d);
 
     // Six WAL generations, each interleaving WAL appends with the
     // WAL-snapshot being cut, then trimming the dead generation — the
@@ -51,7 +46,6 @@ fn run_pattern(dev: &Arc<Mutex<NvmeDevice>>, separate: bool) -> f64 {
         let slot = layout.slot_lba((generation % 2) as usize);
         let mut written_snap = 0u64;
         let mut written_wal = 0u64;
-        let mut d = dev.lock().unwrap();
         while written_wal < gen_pages || written_snap < snap_pages {
             if written_wal < gen_pages {
                 let n = chunk_pages.min(gen_pages - written_wal);
@@ -78,9 +72,8 @@ fn run_pattern(dev: &Arc<Mutex<NvmeDevice>>, separate: bool) -> f64 {
         }
         let old_slot = layout.slot_lba(((generation + 1) % 2) as usize);
         d.deallocate(old_slot, layout.slot_lbas, t).unwrap();
-        drop(d);
     }
-    dev.lock().unwrap().waf()
+    d.waf()
 }
 
 fn main() {
@@ -104,19 +97,18 @@ fn main() {
     ];
     let mut table = Table::new(["configuration", "WAF", "GC passes", "GC copies"]);
     for (label, ftl, separate) in configs {
-        let dev = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig {
+        let mut dev = NvmeDevice::new(DeviceConfig {
             ftl,
             latencies: Latencies::default(),
             store_data: false,
             honor_deallocate: true,
-        })));
-        let waf = run_pattern(&dev, separate);
-        let d = dev.lock().unwrap();
+        });
+        let waf = run_pattern(&mut dev, separate);
         table.row([
             label.to_string(),
             format!("{waf:.4}"),
-            d.ftl_stats().gc_passes.to_string(),
-            d.ftl_stats().waf.gc_copied_pages().to_string(),
+            dev.ftl_stats().gc_passes.to_string(),
+            dev.ftl_stats().waf.gc_copied_pages().to_string(),
         ]);
     }
     println!("{}", table.render());

@@ -5,16 +5,13 @@
 //! consistent state: the newest *committed* snapshot plus every *synced*
 //! WAL record after its fork point — never a torn mix (§4.2).
 
-use std::sync::Arc;
-
 use slimio_suite::des::SimTime;
 use slimio_suite::ftl::PlacementMode;
 use slimio_suite::imdb::backend::{PersistBackend, SnapshotKind};
 use slimio_suite::imdb::wal::{encode, replay, WalRecord};
-use slimio_suite::nvme::{DeviceConfig, NvmeDevice};
+use slimio_suite::nvme::{DeviceConfig, DeviceHandle};
 use slimio_suite::slimio::PassthruBackend;
 use slimio_suite::uring::SharedClock;
-use std::sync::Mutex;
 
 /// A scripted persistence step.
 #[derive(Clone, Copy, Debug)]
@@ -80,11 +77,9 @@ struct Oracle {
     od_snapshot: Option<Vec<u8>>,
 }
 
-fn run_prefix(len: usize) -> (Arc<Mutex<NvmeDevice>>, Oracle) {
-    let dev = Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-        PlacementMode::Fdp { max_pids: 8 },
-    ))));
-    let mut backend = PassthruBackend::new(Arc::clone(&dev), SharedClock::new());
+fn run_prefix(len: usize) -> (DeviceHandle, Oracle) {
+    let dev = DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Fdp { max_pids: 8 }));
+    let mut backend = PassthruBackend::new(dev.clone(), SharedClock::new());
     let mut oracle = Oracle::default();
     let t = SimTime::ZERO;
     for step in &SCRIPT[..len] {
@@ -146,7 +141,7 @@ fn run_prefix(len: usize) -> (Arc<Mutex<NvmeDevice>>, Oracle) {
 fn crash_after_every_step_recovers_consistently() {
     for crash_point in 0..=SCRIPT.len() {
         let (dev, oracle) = run_prefix(crash_point);
-        let mut rec = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new())
+        let mut rec = PassthruBackend::recover(dev.clone(), SharedClock::new())
             .unwrap_or_else(|e| panic!("recovery failed at crash point {crash_point}: {e}"));
 
         // 1. The committed WAL-snapshot matches the oracle.
@@ -203,7 +198,7 @@ fn committed_od_snapshot_survives_any_later_crash() {
     // has no committed OD snapshot at all — verify it stays that way.
     for crash_point in 13..=SCRIPT.len() {
         let (dev, oracle) = run_prefix(crash_point);
-        let mut rec = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+        let mut rec = PassthruBackend::recover(dev.clone(), SharedClock::new()).unwrap();
         let (od, _) = rec
             .load_snapshot(SnapshotKind::OnDemand, SimTime::ZERO)
             .unwrap();

@@ -5,28 +5,21 @@
 //! (kernel path) and the SlimIO passthru backend; both must recover to
 //! identical keyspaces, and the devices must show the paper's WAF split.
 
-use std::sync::Arc;
-
 use slimio_suite::des::{SimTime, Xoshiro256};
 use slimio_suite::ftl::PlacementMode;
 use slimio_suite::imdb::backend::{FileBackend, SnapshotKind};
 use slimio_suite::imdb::{Db, DbConfig, LogPolicy};
 use slimio_suite::kpath::{FsProfile, KernelCosts, SimFs};
-use slimio_suite::nvme::{DeviceConfig, NvmeDevice};
+use slimio_suite::nvme::{DeviceConfig, DeviceHandle};
 use slimio_suite::slimio::PassthruBackend;
 use slimio_suite::uring::SharedClock;
-use std::sync::Mutex;
 
-fn fdp_device() -> Arc<Mutex<NvmeDevice>> {
-    Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-        PlacementMode::Fdp { max_pids: 8 },
-    ))))
+fn fdp_device() -> DeviceHandle {
+    DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Fdp { max_pids: 8 }))
 }
 
-fn conventional_device() -> Arc<Mutex<NvmeDevice>> {
-    Arc::new(Mutex::new(NvmeDevice::new(DeviceConfig::tiny(
-        PlacementMode::Conventional,
-    ))))
+fn conventional_device() -> DeviceHandle {
+    DeviceHandle::new(DeviceConfig::tiny(PlacementMode::Conventional))
 }
 
 fn db_config() -> DbConfig {
@@ -87,17 +80,13 @@ fn verify<B: slimio_suite::imdb::PersistBackend>(
 fn both_backends_recover_identical_state() {
     // Baseline: files on F2FS over a conventional device.
     let base_dev = conventional_device();
-    let fs = SimFs::new(
-        Arc::clone(&base_dev),
-        KernelCosts::default(),
-        FsProfile::f2fs(),
-    );
+    let fs = SimFs::new(base_dev.clone(), KernelCosts::default(), FsProfile::f2fs());
     let mut base_db = Db::new(FileBackend::new(fs).unwrap(), db_config());
     let expect_base = drive(&mut base_db, 3000, 7);
 
     // SlimIO: passthru over an FDP device.
     let slim_dev = fdp_device();
-    let backend = PassthruBackend::new(Arc::clone(&slim_dev), SharedClock::new());
+    let backend = PassthruBackend::new(slim_dev.clone(), SharedClock::new());
     let mut slim_db = Db::new(backend, db_config());
     let expect_slim = drive(&mut slim_db, 3000, 7);
 
@@ -116,23 +105,23 @@ fn both_backends_recover_identical_state() {
     verify(&mut base_rec, &expect_base);
 
     drop(slim_db);
-    let backend = PassthruBackend::recover(Arc::clone(&slim_dev), SharedClock::new()).unwrap();
+    let backend = PassthruBackend::recover(slim_dev.clone(), SharedClock::new()).unwrap();
     let (mut slim_rec, _) = Db::recover(backend, db_config(), SimTime::ZERO).unwrap();
     verify(&mut slim_rec, &expect_slim);
 
     // The paper's WAF split: FDP-separated SlimIO stays at 1.00.
-    let slim_waf = slim_dev.lock().unwrap().waf();
+    let slim_waf = slim_dev.telemetry().waf;
     assert!(
         (slim_waf - 1.0).abs() < 1e-9,
         "SlimIO/FDP must not amplify: {slim_waf}"
     );
-    assert!(base_dev.lock().unwrap().waf() >= 1.0);
+    assert!(base_dev.telemetry().waf >= 1.0);
 }
 
 #[test]
 fn on_demand_and_wal_snapshots_coexist() {
     let dev = fdp_device();
-    let backend = PassthruBackend::new(Arc::clone(&dev), SharedClock::new());
+    let backend = PassthruBackend::new(dev.clone(), SharedClock::new());
     let mut cfg = db_config();
     cfg.wal_snapshot_threshold = 48 * 1024;
     let mut db = Db::new(backend, cfg);
@@ -161,7 +150,7 @@ fn on_demand_and_wal_snapshots_coexist() {
     drop(db);
 
     // Recovery uses the WAL-snapshot chain and sees everything.
-    let backend = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+    let backend = PassthruBackend::recover(dev.clone(), SharedClock::new()).unwrap();
     let (mut rec, _) = Db::recover(backend, cfg, t).unwrap();
     assert_eq!(rec.len(), 400);
     assert_eq!(&*rec.get(b"k0").unwrap(), &[1u8; 512][..]);
@@ -174,7 +163,7 @@ fn repeated_crash_recover_cycles_converge() {
     let t = SimTime::ZERO;
     let mut surviving = 0usize;
     {
-        let backend = PassthruBackend::new(Arc::clone(&dev), SharedClock::new());
+        let backend = PassthruBackend::new(dev.clone(), SharedClock::new());
         let mut db = Db::new(backend, db_config());
         for i in 0..500u32 {
             db.set(format!("k{i}").as_bytes(), &[9u8; 200], t).unwrap();
@@ -185,7 +174,7 @@ fn repeated_crash_recover_cycles_converge() {
     }
     // Crash/recover three times, adding data each round.
     for round in 0..3u32 {
-        let backend = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+        let backend = PassthruBackend::recover(dev.clone(), SharedClock::new()).unwrap();
         let (mut db, _) = Db::recover(backend, db_config(), t).unwrap();
         assert_eq!(db.len(), surviving, "round {round}");
         for i in 0..100u32 {
@@ -199,7 +188,7 @@ fn repeated_crash_recover_cycles_converge() {
         db.sync_wal(t).unwrap();
         surviving += 100;
     }
-    let backend = PassthruBackend::recover(Arc::clone(&dev), SharedClock::new()).unwrap();
+    let backend = PassthruBackend::recover(dev.clone(), SharedClock::new()).unwrap();
     let (db, _) = Db::recover(backend, db_config(), t).unwrap();
     assert_eq!(db.len(), surviving);
 }
